@@ -1,15 +1,12 @@
 """PAR: serial-vs-parallel speedup of the campaign engine.
 
-Three measurements on the DLX bug-catalog sweep (the workload every
+Two measurements on the DLX bug-catalog sweep (the workload every
 later large-scale sweep grows from), plus an FSM-level scaling check:
 
 * **process fan-out** -- the same sweep at ``--jobs 4``.  The speedup
   assertion (>= 2x) runs where it is physically possible, i.e. when at
   least 2 CPUs are usable by this process; on a single-CPU box the
   table is still printed and the differential identity still asserted.
-* **memo cache** -- an unchanged sweep re-run through the campaign
-  cache must be >= 2x faster than the cold serial sweep on any
-  hardware, because cached mutants are not simulated at all.
 * **differential identity** -- every variant produces rows/results
   byte-identical to the serial sweep; speed never buys a different
   answer.
@@ -34,7 +31,7 @@ from repro.dlx.programs import (
 )
 from repro.faults import run_campaign
 from repro.models import counter
-from repro.parallel import CampaignCache, default_jobs
+from repro.parallel import default_jobs
 from repro.tour import transition_tour
 from repro.validation import run_bug_campaign
 
@@ -90,16 +87,7 @@ def test_dlx_sweep_speedup(benchmark):
         iterations=1,
     )
 
-    cache = CampaignCache()
-    _cold, t_cold = _timed(
-        lambda: run_bug_campaign(tests, jobs=JOBS, cache=cache)
-    )
-    warm, t_warm = _timed(
-        lambda: run_bug_campaign(tests, jobs=JOBS, cache=cache)
-    )
-
     speedup = t_serial / t_parallel if t_parallel else float("inf")
-    cache_speedup = t_serial / t_warm if t_warm else float("inf")
     cpus = default_jobs()
     emit(
         "PAR: DLX bug-catalog sweep, serial vs parallel",
@@ -109,11 +97,9 @@ def test_dlx_sweep_speedup(benchmark):
             f"serial (jobs=1):          {t_serial:8.3f}s",
             f"parallel (jobs={JOBS}):       {t_parallel:8.3f}s   "
             f"speedup {speedup:4.2f}x",
-            f"warm cache (jobs={JOBS}):     {t_warm:8.3f}s   "
-            f"speedup {cache_speedup:4.2f}x",
             f"coverage: {serial.coverage:.0%}; rows identical at every "
             f"worker count: "
-            f"{serial.rows == parallel.rows == warm.rows}",
+            f"{serial.rows == parallel.rows}",
         ],
         name="parallel_dlx_sweep",
         data={
@@ -122,23 +108,15 @@ def test_dlx_sweep_speedup(benchmark):
             "usable_cpus": cpus,
             "serial_seconds": t_serial,
             "parallel_seconds": t_parallel,
-            "warm_cache_seconds": t_warm,
             "speedup": speedup,
-            "cache_speedup": cache_speedup,
             "coverage": serial.coverage,
-            "rows_identical": serial.rows == parallel.rows == warm.rows,
+            "rows_identical": serial.rows == parallel.rows,
         },
     )
 
     # Determinism is unconditional.
     assert parallel.rows == serial.rows
-    assert warm.rows == serial.rows
     assert serial.coverage == 1.0
-    # The cache win is hardware-independent: unchanged mutants are not
-    # simulated at all on the second sweep.
-    assert cache_speedup >= 2.0, (
-        f"warm-cache resweep only {cache_speedup:.2f}x over cold serial"
-    )
     # The process-pool win needs real CPUs to land on.
     if cpus >= 2:
         assert speedup >= 2.0, (
@@ -147,7 +125,7 @@ def test_dlx_sweep_speedup(benchmark):
     else:
         print(
             f"NOTE: only {cpus} usable CPU(s); >=2x process fan-out "
-            f"assertion skipped (cache speedup asserted instead)"
+            f"assertion skipped (identity still asserted)"
         )
 
 

@@ -305,14 +305,39 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _report_resume(stats, paths) -> None:
-    """Run-dir accounting on stderr (stdout keeps the report only)."""
-    print(
-        f"run dir {paths.run_dir}: replayed {stats.replayed} journaled "
-        f"verdicts ({stats.provisional} provisional, {stats.dropped} "
-        f"corrupt lines dropped), simulated {stats.executed}",
-        file=sys.stderr,
-    )
+def _run_population(args: argparse.Namespace, population):
+    """One campaign through the shared core: journaled in ``--run-dir``
+    (accounting on stderr) or in memory.  None when the run dir cannot
+    be used (the reason goes to stderr)."""
+    from .runtime import RunDirError
+    from .runtime.runner import run
+
+    try:
+        done = run(
+            population,
+            run_dir=args.run_dir or None,
+            resume=args.resume,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            retries=args.retries,
+            kernel=args.kernel,
+            lanes=args.lanes,
+            slice_size=args.journal_slice,
+        )
+    except RunDirError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    stats = done.stats
+    if done.paths is not None:
+        # Run-dir accounting on stderr (stdout keeps the report only).
+        print(
+            f"run dir {done.paths.run_dir}: replayed {stats.replayed} "
+            f"journaled verdicts ({stats.provisional} provisional, "
+            f"{stats.dropped} corrupt lines dropped), simulated "
+            f"{stats.executed}",
+            file=sys.stderr,
+        )
+    return done.result
 
 
 def _run_suite_campaign_cli(args: argparse.Namespace, machine) -> int:
@@ -323,7 +348,7 @@ def _run_suite_campaign_cli(args: argparse.Namespace, machine) -> int:
     (jobs, kernel, run-dir journaling) as a transition tour.
     """
     from .core import suite_completeness_report
-    from .faults import run_campaign
+    from .runtime.runner import FaultPopulation
     from .tour import FaultDomain, SuiteError, generate_suite
 
     try:
@@ -336,37 +361,11 @@ def _run_suite_campaign_cli(args: argparse.Namespace, machine) -> int:
         print(f"cannot generate {args.suite} suite: {exc}", file=sys.stderr)
         return 2
     report = suite_completeness_report(machine, args.suite, suite.m)
-    if args.run_dir:
-        from .runtime import RunDirError, run_campaign_resumable
-
-        try:
-            run = run_campaign_resumable(
-                ex.machine, ex.inputs,
-                faults=list(ex.faults),
-                run_dir=args.run_dir,
-                resume=args.resume,
-                jobs=args.jobs,
-                timeout=args.timeout,
-                retries=args.retries,
-                kernel=args.kernel,
-                lanes=args.lanes,
-                slice_size=args.journal_slice,
-            )
-        except RunDirError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        result = run.result
-        _report_resume(run.stats, run.paths)
-    else:
-        result = run_campaign(
-            ex.machine, ex.inputs,
-            faults=list(ex.faults),
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-            kernel=args.kernel,
-            lanes=args.lanes,
-        )
+    result = _run_population(
+        args, FaultPopulation(ex.machine, ex.inputs, ex.faults)
+    )
+    if result is None:
+        return 2
     if args.json:
         payload = result.to_json_dict()
         payload["suite"] = suite.to_json_dict()
@@ -416,65 +415,19 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad --chaos spec: {exc}", file=sys.stderr)
             return 2
-    from .runtime import RunDirError, chaos_scope
-
-    if args.target == "dlx":
-        if args.suite != "tour":
-            print(
-                "--suite w/wp/hsi needs an explicit Mealy specification; "
-                "the dlx target replays directed programs, so only "
-                "--suite tour applies",
-                file=sys.stderr,
-            )
-            return 2
-        from .dlx.programs import DIRECTED_PROGRAMS
-        from .validation import run_bug_campaign
-
-        tests = [(list(p), None, None) for p in DIRECTED_PROGRAMS.values()]
-        test_name = f"directed programs (jobs={args.jobs})"
-        with _observability(args), chaos_scope(chaos_plan):
-            if args.run_dir:
-                from .runtime import run_bug_campaign_resumable
-
-                try:
-                    run = run_bug_campaign_resumable(
-                        tests,
-                        test_name=test_name,
-                        run_dir=args.run_dir,
-                        resume=args.resume,
-                        jobs=args.jobs,
-                        timeout=args.timeout,
-                        retries=args.retries,
-                        kernel=args.kernel,
-                        lanes=args.lanes,
-                        slice_size=args.journal_slice,
-                    )
-                except RunDirError as exc:
-                    print(exc, file=sys.stderr)
-                    return 2
-                campaign = run.result
-                _report_resume(run.stats, run.paths)
-            else:
-                campaign = run_bug_campaign(
-                    tests,
-                    test_name=test_name,
-                    jobs=args.jobs,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    kernel=args.kernel,
-                    lanes=args.lanes,
-                )
-            if args.json:
-                print(json.dumps(campaign.to_json_dict(), indent=2,
-                                 sort_keys=True))
-            else:
-                print(campaign)
-        return _campaign_exit(campaign.coverage == 1.0, campaign.degraded)
-    from .faults import run_campaign
-    from .tour import transition_tour
+    from .runtime import chaos_scope
+    from .runtime.runner import BugPopulation, FaultPopulation
 
     builder = CANONICAL_MODELS.get(args.target)
-    if builder is None:
+    if args.target == "dlx" and args.suite != "tour":
+        print(
+            "--suite w/wp/hsi needs an explicit Mealy specification; "
+            "the dlx target replays directed programs, so only "
+            "--suite tour applies",
+            file=sys.stderr,
+        )
+        return 2
+    if args.target != "dlx" and builder is None:
         print(
             f"unknown campaign target {args.target!r}; choose 'dlx' or one "
             f"of {', '.join(sorted(CANONICAL_MODELS))}",
@@ -482,49 +435,37 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         )
         return 2
     with _observability(args), chaos_scope(chaos_plan):
-        machine = builder()
-        if args.suite != "tour":
-            return _run_suite_campaign_cli(args, machine)
-        tour = transition_tour(machine, method=args.method)
-        if args.run_dir:
-            from .runtime import run_campaign_resumable
+        header = []
+        if args.target == "dlx":
+            from .dlx.programs import DIRECTED_PROGRAMS
 
-            try:
-                run = run_campaign_resumable(
-                    machine, tour.inputs,
-                    run_dir=args.run_dir,
-                    resume=args.resume,
-                    jobs=args.jobs,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    kernel=args.kernel,
-                    lanes=args.lanes,
-                    slice_size=args.journal_slice,
-                )
-            except RunDirError as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            result = run.result
-            _report_resume(run.stats, run.paths)
-        else:
-            result = run_campaign(
-                machine, tour.inputs, jobs=args.jobs,
-                timeout=args.timeout, retries=args.retries,
-                kernel=args.kernel, lanes=args.lanes,
+            population = BugPopulation(
+                [(list(p), None, None) for p in DIRECTED_PROGRAMS.values()],
+                test_name=f"directed programs (jobs={args.jobs})",
             )
+        else:
+            machine = builder()
+            if args.suite != "tour":
+                return _run_suite_campaign_cli(args, machine)
+            population = FaultPopulation.for_suite(
+                machine, method=args.method
+            )
+            header = [
+                f"model: {machine}",
+                f"{args.method} tour: {len(population.test)} inputs, "
+                f"jobs={args.jobs}",
+            ]
+        result = _run_population(args, population)
+        if result is None:
+            return 2
         if args.json:
             print(json.dumps(result.to_json_dict(), indent=2,
                              sort_keys=True))
         else:
-            print(f"model: {machine}")
-            print(
-                f"{args.method} tour: {len(tour)} inputs, "
-                f"jobs={args.jobs}"
-            )
-            print(result)
-    # Like the dlx path: incomplete error coverage is a validation
-    # gap, and the exit status says so; a degraded-but-complete run
-    # gets its own status so CI can tell the difference.
+            print("\n".join(header + [str(result)]))
+    # Incomplete error coverage is a validation gap, and the exit
+    # status says so; a degraded-but-complete run gets its own status
+    # so CI can tell the difference.
     return _campaign_exit(result.coverage == 1.0, result.degraded)
 
 

@@ -31,11 +31,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..faults import all_single_faults, run_campaign
+from ..faults import run_campaign
 from ..obs.events import emit_event
-from ..runtime.runner import fsm_campaign_identity
+from ..runtime.runner import FaultPopulation, run_campaign_resumable
 from ..service.store import ResultStore, store_key
-from ..tour import FaultDomain, SuiteError, generate_suite, transition_tour
+from ..tour import SuiteError
 from .loader import CorpusEntry
 
 #: ``suite`` values accepted by :func:`run_bench_suite` (the CLI's
@@ -226,26 +226,6 @@ class BenchSuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _build_test(
-    entry: CorpusEntry,
-    suite: str,
-    method: str,
-    extra_states: int,
-):
-    """(machine-to-run, test inputs, fault population, test summary)
-    for one circuit, or a SuiteError for machines the construction
-    does not apply to."""
-    machine = entry.machine
-    if suite == "tour":
-        tour = transition_tour(machine, method=method)
-        return machine, tuple(tour.inputs), all_single_faults(machine)
-    generated = generate_suite(
-        machine, suite, FaultDomain(extra_states=extra_states)
-    )
-    ex = generated.executable(machine)
-    return ex.machine, tuple(ex.inputs), list(ex.faults)
-
-
 def run_bench_suite(
     entries: Sequence[CorpusEntry],
     corpus: str,
@@ -347,8 +327,8 @@ def _run_circuit(
         verdict = "error" if entry.kind == "bad" else "skipped"
         return _skip_row(entry, suite, verdict, entry.error or "")
     try:
-        run_machine, test, population = _build_test(
-            entry, suite, method, extra_states
+        population = FaultPopulation.for_suite(
+            entry.machine, suite, method, extra_states
         )
     except SuiteError as exc:
         return _skip_row(entry, suite, "skipped", str(exc))
@@ -356,13 +336,11 @@ def _run_circuit(
         "corpus.circuit.started",
         circuit=entry.name,
         suite=suite,
-        faults=len(population),
-        test_length=len(test),
+        faults=population.total,
+        test_length=len(population.test),
     )
     start = time.perf_counter()
-    identity = fsm_campaign_identity(
-        run_machine, test, population, kernel, timeout
-    )
+    identity = population.identity(kernel, timeout)
     key = store_key(identity)
     cached = False
     executed = 0
@@ -375,33 +353,23 @@ def _run_circuit(
         coverage = float(stored["coverage"])
         cached = True
     else:
-        if run_root is not None:
-            from ..runtime import run_campaign_resumable
-
-            run = run_campaign_resumable(
-                run_machine, test,
-                faults=list(population),
-                run_dir=os.path.join(run_root, entry.name),
-                resume=resume,
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                kernel=kernel,
-                lanes=lanes,
-            )
-            result = run.result
-            executed = run.stats.executed
-        else:
+        # Both entry points drive the same core; calling them by name
+        # keeps per-layer instrumentation of either path intact.
+        settings = dict(
+            faults=population.items, jobs=jobs, timeout=timeout,
+            retries=retries, kernel=kernel, lanes=lanes,
+        )
+        if run_root is None:
             result = run_campaign(
-                run_machine, test,
-                faults=list(population),
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                kernel=kernel,
-                lanes=lanes,
+                population.spec, population.test, **settings
             )
             executed = result.total
+        else:
+            run = run_campaign_resumable(
+                population.spec, population.test, **settings, resume=resume,
+                run_dir=os.path.join(run_root, entry.name),
+            )
+            result, executed = run.result, run.stats.executed
         detected = len(result.detected)
         escaped = len(result.escaped)
         coverage = result.coverage
@@ -425,8 +393,8 @@ def _run_circuit(
         alphabet=stats.get("inputs", 0),
         transitions=stats.get("transitions", 0),
         suite=suite,
-        test_length=len(test),
-        faults=len(population),
+        test_length=len(population.test),
+        faults=population.total,
         detected=detected,
         escaped=escaped,
         coverage=coverage,

@@ -15,32 +15,19 @@ machines the escapes are expected and diagnostic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.errors import OutputError, TransferError
 from ..core.mealy import Input, MealyMachine
+from ..core.theorems import CompletenessCertificate
 from ..obs import (
-    SECONDS_BUCKETS,
     get_registry,
     record_detection_latencies,
     replay_with_telemetry,
-    span,
-)
-from ..obs.events import emit_event, get_bus
-from ..core.theorems import CompletenessCertificate
-from ..parallel import (
-    CampaignCache,
-    batch_unit,
-    inputs_fingerprint,
-    machine_fingerprint,
-    parallel_map,
-    parallel_map_batched,
-    run_task_inline,
 )
 from .inject import Fault, all_single_faults
-from .simulate import Detection, detect_fault, detection_latency, pad_inputs
+from .simulate import detect_fault, detection_latency, pad_inputs
 
 
 class CampaignExecutionError(RuntimeError):
@@ -48,16 +35,10 @@ class CampaignExecutionError(RuntimeError):
     verdict; raised rather than silently mislabelling the fault."""
 
 
-#: Bounded exponential backoff for quarantined-fault oracle re-runs:
-#: up to DEGRADE_ATTEMPTS attempts, sleeping DEGRADE_BACKOFF,
-#: 2*DEGRADE_BACKOFF, ... between them.
-DEGRADE_ATTEMPTS = 3
-DEGRADE_BACKOFF = 0.02
-
-
 @dataclass(frozen=True)
 class FaultVerdict:
-    """One fault's campaign verdict plus how it was obtained.
+    """One fault's (or DLX catalog entry's) campaign verdict plus how
+    it was obtained.
 
     ``degraded`` marks a verdict produced by the quarantine path: the
     primary (possibly compiled, possibly pooled) task failed and the
@@ -70,6 +51,10 @@ class FaultVerdict:
     detected: bool
     timed_out: bool = False
     degraded: bool = False
+    #: The first spec/implementation divergence, for DLX catalog
+    #: entries (a :class:`~repro.validation.Mismatch`); None for FSM
+    #: faults and for undetected entries.
+    mismatch: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -173,44 +158,6 @@ def _detect_batch_task(
     return detect_faults_compiled(spec, inputs, batch)
 
 
-_KERNELS = ("interp", "compiled")
-
-
-def _check_kernel(kernel: str) -> None:
-    if kernel not in _KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of {_KERNELS}"
-        )
-
-
-def _rerun_on_oracle(
-    spec: MealyMachine, test: Tuple[Input, ...], fault: Fault
-) -> bool:
-    """Replay one quarantined fault on the in-process interpreter.
-
-    Bounded exponential backoff absorbs transient failures (a chaos-
-    killed worker, an OOM blip); a deterministic failure -- an invalid
-    fault, an undefined step -- exhausts the attempts and raises with
-    the same message the direct interpreter path produces, because
-    the re-run goes through :func:`run_task_inline` and therefore the
-    identical executor frames.
-    """
-    delay = DEGRADE_BACKOFF
-    error: Optional[str] = None
-    for attempt in range(DEGRADE_ATTEMPTS):
-        if attempt:
-            time.sleep(delay)
-            delay *= 2
-            get_registry().counter("runtime.degrade_retries_total").inc()
-        outcome = run_task_inline(_detect_task, (spec, test), fault)
-        if outcome.ok:
-            return bool(outcome.value)
-        error = outcome.error
-    raise CampaignExecutionError(
-        f"fault {fault} failed to simulate: {error}"
-    )
-
-
 def sweep_verdicts(
     spec: MealyMachine,
     test: Tuple[Input, ...],
@@ -224,90 +171,29 @@ def sweep_verdicts(
 ) -> List[FaultVerdict]:
     """One :class:`FaultVerdict` per fault, in submission order.
 
-    The execution core shared by :func:`run_campaign` and the
-    journaled runtime (:mod:`repro.runtime.runner`).  A task that
-    fails -- a poisoned compiled kernel, a worker crash the pool
-    fallback could not hide, an exception that survived ``retries``
-    -- does not abort the sweep: the affected faults are quarantined
-    and re-run on the interpreter oracle (with bounded exponential
-    backoff), their verdicts are marked ``degraded``, and a
-    degradation event lands in the ``runtime.*`` metrics namespace.
-    Only a fault the oracle itself cannot simulate raises
-    :class:`CampaignExecutionError`.
+    The FSM face of the shared sweep (:func:`repro.runtime.runner
+    .sweep`), which every FSM campaign -- in memory, journaled, or a
+    service shard -- routes through.  A task that fails -- a poisoned
+    compiled kernel, a worker crash the pool fallback could not hide,
+    an exception that survived ``retries`` -- does not abort the
+    sweep: the affected faults are quarantined and re-run on the
+    interpreter oracle (with bounded exponential backoff), their
+    verdicts are marked ``degraded``, and a degradation event lands in
+    the ``runtime.*`` metrics namespace.  Only a fault the oracle
+    itself cannot simulate raises :class:`CampaignExecutionError`.
 
     ``lanes`` sizes the compiled kernel's fault batches (the lane-
     packed Mealy kernel adjudicates one batch against the precomputed
     spec trajectory); ``None``/``"auto"`` selects the kernel default.
     Verdicts are byte-identical at any width.
     """
-    _check_kernel(kernel)
-    faults = list(faults)
-    if not faults:
-        return []
-    if kernel == "compiled":
-        from ..kernel import resolve_lanes
+    from ..runtime.runner import FaultPopulation, sweep
 
-        width = resolve_lanes(lanes) - 1
-        outcomes = parallel_map_batched(
-            _detect_batch_task, faults, shared=(spec, test), jobs=jobs,
-            timeout=timeout, retries=retries,
-            batch_size=batch_unit(len(faults), jobs, width),
-        )
-    else:
-        outcomes = parallel_map(
-            _detect_task, faults, shared=(spec, test), jobs=jobs,
-            timeout=timeout, retries=retries,
-        )
-    wall = get_registry().histogram(
-        "campaign.fault_wall_seconds", buckets=SECONDS_BUCKETS
+    faults = list(faults)
+    return sweep(
+        FaultPopulation(spec, test, faults), faults, jobs=jobs,
+        timeout=timeout, retries=retries, kernel=kernel, lanes=lanes,
     )
-    verdicts: List[Optional[FaultVerdict]] = [None] * len(faults)
-    quarantined: List[int] = []
-    for i, outcome in enumerate(outcomes):
-        error, value = outcome.error, outcome.value
-        if error is None and not outcome.timed_out and kernel == "compiled":
-            tag, payload = value
-            if tag == "err":
-                error = payload
-            else:
-                value = payload
-        if error is not None:
-            quarantined.append(i)
-            continue
-        wall.observe(outcome.elapsed)
-        if outcome.timed_out:
-            verdicts[i] = FaultVerdict(detected=True, timed_out=True)
-        else:
-            verdicts[i] = FaultVerdict(detected=bool(value))
-    if quarantined:
-        reg = get_registry()
-        reg.counter("runtime.degradations_total").inc()
-        reg.counter("runtime.quarantined_tasks_total").inc(len(quarantined))
-        for i in quarantined:
-            emit_event(
-                "worker.degraded",
-                fault=repr(faults[i]),
-                action="oracle-rerun",
-            )
-            verdicts[i] = FaultVerdict(
-                detected=_rerun_on_oracle(spec, test, faults[i]),
-                degraded=True,
-            )
-    # The verdict stream: emitted in submission order from the fully
-    # assembled list, so the payload sequence is byte-identical at any
-    # jobs/kernel setting (the bus determinism contract).  The
-    # environment-dependent `degraded` flag stays out of the payload;
-    # degradation travels via worker.degraded above.
-    bus = get_bus()
-    if bus.enabled:
-        for fault, verdict in zip(faults, verdicts):
-            bus.emit(
-                "fault.verdict",
-                fault=repr(fault),
-                detected=verdict.detected,
-                timed_out=verdict.timed_out,
-            )
-    return verdicts  # type: ignore[return-value] - all slots filled
 
 
 def run_campaign(
@@ -318,7 +204,6 @@ def run_campaign(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> CampaignResult:
@@ -330,9 +215,7 @@ def run_campaign(
     (faults keep their injection order).  A fault whose simulation
     exceeds ``timeout`` wall-clock seconds is recorded as *detected* --
     the mutant visibly diverged from the always-terminating spec, the
-    campaign-level analogue of a crash detection.  ``cache`` memoizes
-    verdicts by (machine, fault, test-set) so unchanged mutants are not
-    re-simulated across sweeps.
+    campaign-level analogue of a crash detection.
 
     ``kernel`` selects the simulator: ``"compiled"`` (default) replays
     faults against a dense-table compilation of the spec in word-sized
@@ -343,74 +226,16 @@ def run_campaign(
     A failing task does not abort the sweep: the affected faults are
     quarantined and re-run on the interpreter oracle (graceful
     degradation -- see :func:`sweep_verdicts`); the result's
-    ``degraded`` flag records that it happened.
+    ``degraded`` flag records that it happened.  With a live metrics
+    registry the finished campaign is folded into it (coverage,
+    detection latencies, test-set telemetry).
     """
-    _check_kernel(kernel)
-    population = (
-        all_single_faults(spec) if faults is None else list(faults)
-    )
-    test = tuple(inputs)
-    verdicts: List[Optional[bool]] = [None] * len(population)
-    keys: List[Optional[Tuple]] = [None] * len(population)
-    timed_out: set = set()
-    with span(
-        "campaign.run",
-        machine=spec.name,
-        faults=len(population),
-        test_length=len(test),
-        jobs=jobs,
-    ):
-        emit_event(
-            "campaign.started",
-            machine=spec.name,
-            faults=len(population),
-            test_length=len(test),
-        )
-        if cache is not None:
-            mfp = machine_fingerprint(spec)
-            tfp = inputs_fingerprint(test)
-            for i, fault in enumerate(population):
-                keys[i] = ("fsm", mfp, tfp, fault)
-                hit = cache.lookup(keys[i])
-                if hit is not CampaignCache.MISSING:
-                    verdicts[i] = hit
-        pending = [i for i, v in enumerate(verdicts) if v is None]
-        degraded = False
-        if pending:
-            swept = sweep_verdicts(
-                spec, test, [population[i] for i in pending],
-                jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
-                lanes=lanes,
-            )
-            for i, fv in zip(pending, swept):
-                verdicts[i] = fv.detected
-                if fv.timed_out:
-                    timed_out.add(i)
-                if fv.degraded:
-                    degraded = True
-                # Timeouts are environment-dependent; never memoize them.
-                if cache is not None and not fv.timed_out:
-                    cache.store(keys[i], fv.detected)
-        detected = tuple(f for f, v in zip(population, verdicts) if v)
-        escaped = tuple(f for f, v in zip(population, verdicts) if not v)
-        result = CampaignResult(
-            machine_name=spec.name,
-            test_length=len(test),
-            detected=detected,
-            escaped=escaped,
-            degraded=degraded,
-        )
-        _record_campaign_metrics(
-            spec, test, population, verdicts, timed_out, result
-        )
-        emit_event(
-            "campaign.finished",
-            machine=spec.name,
-            detected=len(detected),
-            escaped=len(escaped),
-            coverage=round(result.coverage, 6),
-        )
-    return result
+    from ..runtime.runner import FaultPopulation, run
+
+    return run(
+        FaultPopulation(spec, inputs, faults), jobs=jobs, timeout=timeout,
+        retries=retries, kernel=kernel, lanes=lanes,
+    ).result
 
 
 #: Faults whose latency we aggregate, by class label.
@@ -421,39 +246,40 @@ def _record_campaign_metrics(
     spec: MealyMachine,
     test: Tuple[Input, ...],
     population: Sequence[Fault],
-    verdicts: Sequence[Optional[bool]],
-    timed_out: set,
+    verdicts: Sequence[FaultVerdict],
     result: CampaignResult,
 ) -> None:
-    """Fold a finished campaign into the metrics registry.
+    """Fold a finished campaign into the installed (live) registry.
 
     Runs entirely in the parent process *after* verdict assembly, from
     data that is identical at any ``jobs`` setting -- which is what
     keeps the coverage/latency aggregates byte-identical between
-    serial and parallel sweeps.  The extra per-detected-fault latency
-    re-simulation only happens when a live registry is installed.
+    serial and parallel sweeps.  Each detected fault is re-simulated
+    once for its detection latency, so callers fold only into a live
+    registry.
     """
     reg = get_registry()
-    if not reg.enabled:
-        return
     machine = spec.name
-    for cls, label in _FAULT_CLASSES:
-        det = sum(1 for f in result.detected if isinstance(f, cls))
-        esc = sum(1 for f in result.escaped if isinstance(f, cls))
-        reg.counter("campaign.faults_detected", cls=label).inc(det)
-        reg.counter("campaign.faults_escaped", cls=label).inc(esc)
+    for label, stats in result.by_class().items():
+        reg.counter("campaign.faults_detected", cls=label).inc(
+            stats["detected"]
+        )
+        reg.counter("campaign.faults_escaped", cls=label).inc(
+            stats["escaped"]
+        )
     reg.gauge("campaign.coverage", machine=machine).set(
         round(result.coverage, 6)
     )
     reg.gauge("campaign.test_length", machine=machine).set(len(test))
-    if timed_out:
-        reg.counter("campaign.timeouts_total").inc(len(timed_out))
+    timeouts = sum(1 for v in verdicts if v.timed_out)
+    if timeouts:
+        reg.counter("campaign.timeouts_total").inc(timeouts)
     # Detection latency (excitation -> divergence, in steps): the
     # empirical Requirement 2 k-bound.  Timed-out verdicts have no
     # meaningful latency and are skipped.
     latencies = {label: [] for _cls, label in _FAULT_CLASSES}
-    for i, (fault, verdict) in enumerate(zip(population, verdicts)):
-        if not verdict or i in timed_out:
+    for fault, verdict in zip(population, verdicts):
+        if not verdict.detected or verdict.timed_out:
             continue
         latency = detection_latency(spec, fault, test)
         if latency is None:
@@ -480,7 +306,6 @@ def run_suite_campaign(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> CampaignResult:
@@ -491,7 +316,7 @@ def run_suite_campaign(
     augmented harness machine, flat reset-separated input sequence,
     the spec's single-fault population) and then runs through the very
     same executor paths as a tour campaign -- so ``jobs``, ``timeout``,
-    ``retries``, ``cache`` and ``kernel`` all behave identically, and
+    ``retries``, ``kernel`` and ``lanes`` all behave identically, and
     verdicts are byte-identical at any worker count on either kernel.
 
     When the suite's fault-domain certificate holds, every single
@@ -508,7 +333,6 @@ def run_suite_campaign(
         jobs=jobs,
         timeout=timeout,
         retries=retries,
-        cache=cache,
         kernel=kernel,
         lanes=lanes,
     )
@@ -522,7 +346,6 @@ def certified_tour_campaign(
     *,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> CampaignResult:
@@ -537,7 +360,7 @@ def certified_tour_campaign(
     k = certificate.k or 0
     padded = pad_inputs(spec, tour_inputs, k)
     return run_campaign(
-        spec, padded, faults=faults, jobs=jobs, timeout=timeout, cache=cache,
+        spec, padded, faults=faults, jobs=jobs, timeout=timeout,
         kernel=kernel, lanes=lanes,
     )
 
@@ -559,7 +382,6 @@ def compare_test_sets(
     faults: Optional[Sequence[Fault]] = None,
     *,
     jobs: int = 1,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
 ) -> List[ComparisonRow]:
     """Run the same campaign under several test sets; one row each.
@@ -574,8 +396,7 @@ def compare_test_sets(
     rows: List[ComparisonRow] = []
     for method, inputs in test_sets:
         result = run_campaign(
-            spec, inputs, faults=population, jobs=jobs, cache=cache,
-            kernel=kernel,
+            spec, inputs, faults=population, jobs=jobs, kernel=kernel,
         )
         by_cls = result.by_class()
         rows.append(

@@ -11,41 +11,40 @@ engine the campaign layers (:mod:`repro.faults.campaign` and
   per-task wall-clock timeouts and bounded retries.  Results always
   come back in submission order, so campaign results are byte-identical
   regardless of worker count.
-* :class:`CampaignCache` -- a memo cache keyed by
-  (machine, fault, test-set) fingerprints that lets repeated sweeps
-  skip re-simulating unchanged mutants.
+* :func:`machine_fingerprint` and friends -- structural digests of
+  campaign inputs, the building blocks of campaign identities.
 """
 
 from .backoff import BackoffPolicy
-from .cache import (
-    CampaignCache,
-    battery_fingerprint,
-    global_cache,
-    inputs_fingerprint,
-    machine_fingerprint,
-)
 from .executor import (
+    KERNELS,
     MUTANT_BATCH,
     TaskOutcome,
     TaskTimeout,
     batch_unit,
+    check_kernel,
     default_jobs,
     install_task_wrapper,
     parallel_map,
     parallel_map_batched,
     run_task_inline,
 )
+from .fingerprint import (
+    battery_fingerprint,
+    inputs_fingerprint,
+    machine_fingerprint,
+)
 
 __all__ = [
+    "KERNELS",
     "MUTANT_BATCH",
     "BackoffPolicy",
-    "CampaignCache",
     "TaskOutcome",
     "TaskTimeout",
     "batch_unit",
     "battery_fingerprint",
+    "check_kernel",
     "default_jobs",
-    "global_cache",
     "inputs_fingerprint",
     "install_task_wrapper",
     "machine_fingerprint",

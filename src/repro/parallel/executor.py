@@ -69,6 +69,20 @@ class TaskOutcome:
         return self.error is None and not self.timed_out
 
 
+#: The simulation kernels every campaign driver accepts: ``compiled``
+#: dispatches word-sized batches, ``interp`` one item per task (the
+#: differential oracle).
+KERNELS = ("interp", "compiled")
+
+
+def check_kernel(kernel: str) -> None:
+    """Raise ValueError unless ``kernel`` is one of :data:`KERNELS`."""
+    if kernel not in KERNELS:
+        raise ValueError(
+            f"unknown kernel {kernel!r}: expected one of {KERNELS}"
+        )
+
+
 # Word-parallel kernels simulate the golden design plus up to 63 fault
 # mutants in the lanes of one machine word (see
 # repro.kernel.netlist_kernel); a batch of this size is the natural

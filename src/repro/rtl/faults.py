@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.events import emit_event, get_bus
+from ..parallel import check_kernel
 from .expr import Expr, const, substitute
 from .netlist import Netlist
 
@@ -165,11 +166,7 @@ def run_stuck_at_campaign(
     out to worker processes.  Verdicts are byte-identical across
     kernels, job counts, and lane widths.
     """
-    if kernel not in ("interp", "compiled"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of "
-            f"('interp', 'compiled')"
-        )
+    check_kernel(kernel)
     population = (
         all_stuck_at_faults(golden) if faults is None else list(faults)
     )

@@ -7,17 +7,17 @@ adds the three pieces the paper's methodology needs to run unattended:
 
 * :mod:`repro.runtime.journal` -- checksummed write-ahead journal and
   run-directory manifest (a verdict counts only once journaled).
-* :mod:`repro.runtime.runner` -- journaled, resumable campaign
-  drivers whose resumed reports are byte-identical to uninterrupted
-  runs.
+* :mod:`repro.runtime.runner` -- the campaign core: one sweep and
+  one driver for FSM and DLX populations, in memory or journaled and
+  resumable, whose resumed reports are byte-identical to
+  uninterrupted runs.
 * :mod:`repro.runtime.chaos` -- deterministic failure injection
   (worker SIGKILLs, hangs, task errors, corrupt results) used by the
   test suite to *prove* the first two under fire.
 
 Graceful kernel degradation (quarantine + interpreter-oracle re-run)
-lives with the sweep cores in :mod:`repro.faults.campaign` and
-:mod:`repro.validation.harness`; this package surfaces it through the
-``degraded`` result flags and the ``runtime.*`` metrics namespace.
+lives in the core's sweep and surfaces through the ``degraded``
+result flags and the ``runtime.*`` metrics namespace.
 """
 
 from .chaos import (
@@ -47,7 +47,6 @@ from .journal import (
 )
 from .runner import (
     DEFAULT_SLICE,
-    BugCampaignRun,
     CampaignRun,
     ReplayedMismatch,
     ResumeStats,
@@ -67,7 +66,6 @@ __all__ = [
     "METRICS_NAME",
     "REPORT_NAME",
     "DEFAULT_SLICE",
-    "BugCampaignRun",
     "CampaignRun",
     "ChaosError",
     "ChaosPlan",

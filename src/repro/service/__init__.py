@@ -37,7 +37,6 @@ from .protocol import (
     DLX_TEST_NAME,
     ResolvedCampaign,
     SpecError,
-    assemble_result,
     normalize_spec,
     resolve_campaign,
     simulate_shard,
@@ -57,7 +56,6 @@ __all__ = [
     "Shard",
     "ShardWorker",
     "SpecError",
-    "assemble_result",
     "campaign_view",
     "normalize_spec",
     "request_json",

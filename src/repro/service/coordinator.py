@@ -39,11 +39,12 @@ running campaigns raises :class:`BackPressure`, which the HTTP layer
 maps to 429 + ``Retry-After``.
 
 **Finalize.**  When every slot is filled the coordinator assembles
-the result exactly as the local resumable runner would, emits the
-deterministic ``campaign.started`` / ``fault.verdict`` stream /
-``campaign.finished`` projection (byte-identical to ``--jobs 1``),
-records metrics in a scoped registry, and publishes report + metrics
-to the content-addressed :class:`~repro.service.store.ResultStore`.
+the result and records its metrics in a scoped registry through the
+same :func:`~repro.runtime.runner.finalize` a journaled local run
+uses, emits the deterministic ``campaign.started`` /
+``fault.verdict`` stream / ``campaign.finished`` projection
+(byte-identical to ``--jobs 1``), and publishes report + metrics to
+the content-addressed :class:`~repro.service.store.ResultStore`.
 Identical resubmissions are answered from the store with zero
 simulations.
 """
@@ -58,27 +59,17 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import scoped_registry
-from ..obs.events import emit_event
+from ..obs.events import NULL_BUS, emit_event, install_bus
 from ..parallel.backoff import BackoffPolicy
-from ..runtime.journal import (
-    JOURNAL_NAME,
-    MANIFEST_NAME,
-    Journal,
-    RunDirError,
-    check_manifest,
-    read_manifest,
-    write_manifest,
+from ..runtime.journal import Journal, RunDirError
+from ..runtime.runner import (
+    emit_verdicts,
+    finalize,
+    prepare_run_dir,
+    replay_verdicts,
+    run_paths,
 )
-from .protocol import (
-    ResolvedCampaign,
-    assemble_result,
-    emit_campaign_finished,
-    emit_campaign_started,
-    record_result_metrics,
-    resolve_campaign,
-    valid_record,
-)
+from .protocol import ResolvedCampaign, resolve_campaign
 from .store import ResultStore
 
 
@@ -124,9 +115,7 @@ class _Campaign:
         self.resolved = resolved
         self.spool_dir = spool_dir
         self.journal = journal
-        self.records: List[Optional[Dict[str, Any]]] = (
-            [None] * resolved.total
-        )
+        self.verdicts: List[Any] = [None] * resolved.total
         self.shards: Dict[int, Shard] = {}
         self.state = "running"  # "running" | "done" | "failed"
         self.error: Optional[str] = None
@@ -143,10 +132,15 @@ class _Campaign:
         return self._next_shard_id
 
     def filled(self) -> int:
-        return sum(1 for r in self.records if r is not None)
+        return sum(1 for v in self.verdicts if v is not None)
 
     def range_filled(self, lo: int, hi: int) -> bool:
-        return all(r is not None for r in self.records[lo:hi])
+        return all(v is not None for v in self.verdicts[lo:hi])
+
+    def close_journal(self) -> None:
+        if self.journal is not None:
+            self.journal.close()
+            self.journal = None
 
 
 class Coordinator:
@@ -229,9 +223,7 @@ class Coordinator:
         """Close every open spool journal (shutdown path)."""
         with self._lock:
             for campaign in self._campaigns.values():
-                if campaign.journal is not None:
-                    campaign.journal.close()
-                    campaign.journal = None
+                campaign.close_journal()
 
     # -- submission --------------------------------------------------
 
@@ -266,7 +258,7 @@ class Coordinator:
                 self.stats["store_hits"] += 1
                 emit_event(
                     "service.store.hit", campaign=key,
-                    kind=resolved.kind,
+                    kind=resolved.population.kind,
                 )
                 return self._summary(campaign)
             active = sum(
@@ -291,59 +283,48 @@ class Coordinator:
     def _admit(
         self, key: str, resolved: ResolvedCampaign, now: float
     ) -> _Campaign:
-        spool = self._spool_dir(key)
-        manifest_path = os.path.join(spool, MANIFEST_NAME)
-        journal_path = os.path.join(spool, JOURNAL_NAME)
-        replayed_records: Tuple[Dict[str, Any], ...] = ()
-        if os.path.exists(manifest_path):
-            try:
-                check_manifest(
-                    read_manifest(manifest_path), resolved.identity
-                )
-                replayed_records = Journal.replay(journal_path).records
-            except RunDirError:
-                # A foreign or corrupt spool under our key: identity
-                # is gone, so the only safe resume is from scratch.
-                shutil.rmtree(spool, ignore_errors=True)
-        elif os.path.isdir(spool):
-            shutil.rmtree(spool, ignore_errors=True)
-        os.makedirs(spool, exist_ok=True)
-        if not os.path.exists(manifest_path):
-            write_manifest(
-                manifest_path,
-                resolved.identity,
-                {
-                    "shard_size": self.shard_size,
-                    "lease_seconds": self.lease_seconds,
-                },
+        paths = run_paths(self._spool_dir(key))
+        settings = {
+            "shard_size": self.shard_size,
+            "lease_seconds": self.lease_seconds,
+        }
+        resume = os.path.exists(paths.manifest)
+        try:
+            replay = prepare_run_dir(
+                paths, resolved.identity, settings, resume
+            )
+        except RunDirError:
+            resume = False
+        if not resume:
+            # No spool, debris without a manifest, or a foreign or
+            # corrupt spool under our key: identity is gone, so the
+            # only safe start is from scratch.
+            shutil.rmtree(paths.run_dir, ignore_errors=True)
+            replay = prepare_run_dir(
+                paths, resolved.identity, settings, False
             )
         campaign = _Campaign(
-            key, resolved, spool, Journal(journal_path)
+            key, resolved, paths.run_dir, Journal(paths.journal)
         )
-        for record in replayed_records:
-            clean = valid_record(resolved, record)
-            # Timed-out verdicts are provisional across coordinator
-            # restarts, exactly as in the local runner's resume: a
-            # wall-clock timeout says more about the host that died
-            # than about the mutant.
-            if clean is None or clean["timed_out"]:
-                continue
-            if campaign.records[clean["i"]] is None:
-                campaign.records[clean["i"]] = clean
-                campaign.replayed += 1
+        # Timed-out verdicts stay provisional across coordinator
+        # restarts, exactly as in a local resume.
+        campaign.verdicts, _ = replay_verdicts(
+            resolved.population, replay.records
+        )
+        campaign.replayed = campaign.filled()
         self._campaigns[key] = campaign
         self._order.append(key)
         self.stats["admitted"] += 1
-        emit_campaign_started(resolved)
+        emit_event("campaign.started", **resolved.population.started())
         emit_event(
             "service.campaign.admitted",
             campaign=key,
-            kind=resolved.kind,
+            kind=resolved.population.kind,
             total=resolved.total,
             replayed=campaign.replayed,
         )
         pending = [
-            i for i, r in enumerate(campaign.records) if r is None
+            i for i, v in enumerate(campaign.verdicts) if v is None
         ]
         for lo, hi in _carve(pending, self.shard_size):
             shard_id = campaign.next_shard_id()
@@ -461,21 +442,35 @@ class Coordinator:
             for shard in list(campaign.shards.values()):
                 if shard.state != "leased" or now < shard.deadline:
                     continue
-                self._leases.pop(shard.lease_id, None)
-                worker = shard.worker
-                shard.state = "pending"
-                shard.lease_id = None
-                shard.worker = None
-                shard.attempts += 1
                 self.stats["expired"] += 1
-                emit_event(
-                    "service.lease.expired",
-                    campaign=key,
-                    shard=shard.shard_id,
-                    attempt=shard.attempts,
-                    worker=worker,
+                self._requeue(
+                    campaign, shard, now, "service.lease.expired",
+                    worker=shard.worker,
                 )
-                self._retry(campaign, shard, now)
+
+    def _requeue(
+        self,
+        campaign: _Campaign,
+        shard: Shard,
+        now: float,
+        event: str,
+        **fields: Any,
+    ) -> None:
+        """A leased attempt failed: the shard goes back to pending with
+        one more attempt, then through the retry policy."""
+        self._leases.pop(shard.lease_id, None)
+        shard.state = "pending"
+        shard.lease_id = None
+        shard.worker = None
+        shard.attempts += 1
+        emit_event(
+            event,
+            campaign=campaign.key,
+            shard=shard.shard_id,
+            attempt=shard.attempts,
+            **fields,
+        )
+        self._retry(campaign, shard, now)
 
     def _retry(
         self, campaign: _Campaign, shard: Shard, now: float
@@ -570,20 +565,11 @@ class Coordinator:
                     and shard.state == "leased"
                     and shard.lease_id == payload.get("lease")
                 ):
-                    self._leases.pop(shard.lease_id, None)
-                    shard.state = "pending"
-                    shard.lease_id = None
-                    shard.worker = None
-                    shard.attempts += 1
                     self.stats["worker_errors"] += 1
-                    emit_event(
-                        "service.shard.failed",
-                        campaign=campaign.key,
-                        shard=shard.shard_id,
-                        attempt=shard.attempts,
+                    self._requeue(
+                        campaign, shard, now, "service.shard.failed",
                         error=str(error)[:200],
                     )
-                    self._retry(campaign, shard, now)
                 return {"accepted": False, "reason": "failure recorded"}
             absorbed = self._absorb(
                 campaign, payload.get("records") or ()
@@ -605,14 +591,16 @@ class Coordinator:
         absorbed = 0
         if not isinstance(records, (list, tuple)):
             return 0
+        population = campaign.resolved.population
         for record in records:
-            clean = valid_record(campaign.resolved, record)
-            if clean is None:
+            decoded = population.decode(record)
+            if decoded is None:
                 continue
-            if campaign.records[clean["i"]] is not None:
+            index, verdict = decoded
+            if campaign.verdicts[index] is not None:
                 continue  # first write wins: the dedup invariant
-            campaign.records[clean["i"]] = clean
-            campaign.journal.append(clean)
+            campaign.verdicts[index] = verdict
+            campaign.journal.append(population.encode(index, verdict))
             absorbed += 1
         if absorbed:
             campaign.journal.sync()
@@ -645,9 +633,7 @@ class Coordinator:
             if shard.lease_id is not None:
                 self._leases.pop(shard.lease_id, None)
         campaign.shards.clear()
-        if campaign.journal is not None:
-            campaign.journal.close()
-            campaign.journal = None
+        campaign.close_journal()
         self.stats["failed"] += 1
         emit_event(
             "service.campaign.failed",
@@ -656,35 +642,32 @@ class Coordinator:
         )
 
     def _finalize(self, campaign: _Campaign) -> None:
-        from ..obs.events import NULL_BUS, install_bus
-
         resolved = campaign.resolved
-        result = assemble_result(resolved, campaign.records)
-        report = result.to_json_dict()
-        with scoped_registry() as registry:
-            # The recorder's telemetry replay emits coverage.snapshot
-            # events; a plain serial campaign (no registry) does not.
-            # Mute the bus so the service's deterministic projection
-            # stays byte-identical to the `--jobs 1` reference.
-            previous_bus = install_bus(NULL_BUS)
-            try:
-                record_result_metrics(
-                    resolved, campaign.records, result
-                )
-            finally:
-                install_bus(previous_bus)
-            metrics = registry.deterministic_dump()
-        emit_campaign_finished(resolved, campaign.records, result)
+        population = resolved.population
+        # The metrics fold's telemetry replay emits coverage.snapshot
+        # events; a plain serial campaign (no registry) does not.
+        # Mute the bus so the service's deterministic projection
+        # stays byte-identical to the `--jobs 1` reference.
+        previous_bus = install_bus(NULL_BUS)
+        try:
+            result, report, metrics = finalize(
+                population, campaign.verdicts
+            )
+        finally:
+            install_bus(previous_bus)
+        # The canonical verdict stream, in fault-index order from the
+        # assembled verdicts: a chaos-harassed multi-worker run
+        # projects to the same events as an uninterrupted --jobs 1 run.
+        emit_verdicts(population, population.items, campaign.verdicts)
+        emit_event("campaign.finished", **population.finished(result))
         self.store.put(
             campaign.key, resolved.identity, report, metrics
         )
         campaign.report = report
         campaign.metrics = metrics
-        campaign.degraded = bool(getattr(result, "degraded", False))
+        campaign.degraded = result.degraded
         campaign.state = "done"
-        if campaign.journal is not None:
-            campaign.journal.close()
-            campaign.journal = None
+        campaign.close_journal()
         if campaign.spool_dir is not None:
             # The result is published; the spool has nothing left to
             # protect.
@@ -710,7 +693,7 @@ class Coordinator:
         report = campaign.report if done else None
         return {
             "campaign": campaign.key,
-            "kind": campaign.resolved.kind,
+            "kind": campaign.resolved.population.kind,
             "state": campaign.state,
             "total": campaign.resolved.total,
             "filled": (

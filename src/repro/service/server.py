@@ -52,6 +52,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     #: Same per-connection hardening as the status server: a stalled
     #: client times out instead of parking a handler thread forever.
     timeout = SOCKET_TIMEOUT
+    #: Buffer each response and send it when the request is done, so
+    #: headers and body leave in one write rather than two segments a
+    #: client's single read can split.
+    wbufsize = -1
 
     coordinator: Coordinator  # bound per-server by ServiceServer
 

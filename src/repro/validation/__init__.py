@@ -3,12 +3,10 @@
 from .checkpoints import compare_checkpoint, compare_streams
 from .harness import (
     BugCampaignError,
-    BugVerdict,
     campaign_from_concrete_test,
     expected_stream,
     measure_latencies,
     run_bug_campaign,
-    sweep_bug_verdicts,
     validate,
     validate_concrete_test,
 )
@@ -24,7 +22,6 @@ __all__ = [
     "BugCampaignError",
     "BugCampaignResult",
     "BugCampaignRow",
-    "BugVerdict",
     "expected_stream",
     "ConcreteTest",
     "ConversionError",
@@ -36,7 +33,6 @@ __all__ = [
     "fill_inputs",
     "measure_latencies",
     "run_bug_campaign",
-    "sweep_bug_verdicts",
     "validate",
     "validate_concrete_test",
 ]

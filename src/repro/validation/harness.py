@@ -10,9 +10,7 @@ Theorem 3 certificate for the DLX model.
 
 from __future__ import annotations
 
-import time
 import traceback
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dlx.behavioral import BehavioralDLX, Checkpoint, ExecutionError
@@ -20,47 +18,15 @@ from ..dlx.buggy import BUG_CATALOG, BugEntry
 from ..dlx.isa import Instruction
 from ..dlx.pipeline import PipelineBugs, PipelinedDLX
 from ..obs import STEP_BUCKETS, get_registry, span
-from ..obs.events import emit_event, get_bus
-from ..parallel import (
-    MUTANT_BATCH,
-    CampaignCache,
-    TaskTimeout,
-    batch_unit,
-    battery_fingerprint,
-    parallel_map,
-    parallel_map_batched,
-    run_task_inline,
-)
+from ..parallel import TaskTimeout
 from .checkpoints import compare_streams
-from .report import (
-    BugCampaignResult,
-    BugCampaignRow,
-    Mismatch,
-    ValidationResult,
-)
+from .report import BugCampaignResult, Mismatch, ValidationResult
 from .testgen import ConcreteTest
 
 
 class BugCampaignError(RuntimeError):
     """A bug-campaign task failed (after retries) instead of returning
     a verdict; raised rather than silently mislabelling the bug."""
-
-
-#: Bounded exponential backoff for quarantined catalog-entry re-runs
-#: (mirrors repro.faults.campaign's degradation policy).
-DEGRADE_ATTEMPTS = 3
-DEGRADE_BACKOFF = 0.02
-
-
-@dataclass(frozen=True)
-class BugVerdict:
-    """One catalog entry's verdict plus how it was obtained (the DLX
-    analogue of :class:`repro.faults.campaign.FaultVerdict`)."""
-
-    detected: bool
-    mismatch: Optional[Mismatch]
-    timed_out: bool = False
-    degraded: bool = False
 
 
 def expected_stream(
@@ -215,138 +181,6 @@ def _bug_entry_batch_task(
     return results
 
 
-def _rerun_entry_on_oracle(
-    shared: Tuple[Tuple, ...], entry: BugEntry
-) -> Tuple[bool, Optional[Mismatch]]:
-    """Replay one quarantined catalog entry in-process.
-
-    Same policy as the FSM campaign's degradation path: bounded
-    exponential backoff for transient failures, and a deterministic
-    failure raises through :func:`run_task_inline` so the error text
-    matches the direct path byte-for-byte.
-    """
-    delay = DEGRADE_BACKOFF
-    error: Optional[str] = None
-    for attempt in range(DEGRADE_ATTEMPTS):
-        if attempt:
-            time.sleep(delay)
-            delay *= 2
-            get_registry().counter("runtime.degrade_retries_total").inc()
-        outcome = run_task_inline(_bug_entry_task, shared, entry)
-        if outcome.ok:
-            detected, mismatch = outcome.value
-            return (bool(detected), mismatch)
-        error = outcome.error
-    raise BugCampaignError(
-        f"catalog bug {entry.name!r} failed to simulate: {error}"
-    )
-
-
-def sweep_bug_verdicts(
-    prepared: Tuple[Tuple, ...],
-    entries: Sequence[BugEntry],
-    *,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    kernel: str = "compiled",
-    lanes: object = None,
-) -> List[BugVerdict]:
-    """One :class:`BugVerdict` per catalog entry, in submission order.
-
-    The execution core shared by :func:`run_bug_campaign` and the
-    journaled runtime.  Task failures quarantine the affected entries
-    and re-run them in-process (graceful degradation) instead of
-    aborting the sweep; see
-    :func:`repro.faults.campaign.sweep_verdicts` for the rationale.
-    ``lanes`` sizes the compiled batches (``None``/``"auto"`` = the
-    kernel default width); verdicts are width-independent.
-    """
-    entries = list(entries)
-    if not entries:
-        return []
-    if kernel == "compiled":
-        if lanes is None or lanes == "auto":
-            width = MUTANT_BATCH
-        else:
-            from ..kernel import resolve_lanes
-
-            width = resolve_lanes(lanes) - 1
-        # Keep at least jobs*4 batches in flight so a short catalog
-        # still fans out across every worker.
-        outcomes = parallel_map_batched(
-            _bug_entry_batch_task, entries, shared=prepared, jobs=jobs,
-            timeout=timeout, retries=retries,
-            batch_size=batch_unit(len(entries), jobs, width),
-        )
-    else:
-        outcomes = parallel_map(
-            _bug_entry_task, entries, shared=prepared, jobs=jobs,
-            timeout=timeout, retries=retries,
-        )
-    verdicts: List[Optional[BugVerdict]] = [None] * len(entries)
-    quarantined: List[int] = []
-    for i, outcome in enumerate(outcomes):
-        error, value = outcome.error, outcome.value
-        if error is None and not outcome.timed_out and kernel == "compiled":
-            tag, payload = value
-            if tag == "err":
-                error = payload
-            else:
-                value = payload
-        if error is not None:
-            quarantined.append(i)
-            continue
-        if outcome.timed_out:
-            # The correct design always halts well inside the budget,
-            # so a timed-out mutant has visibly diverged: detected by
-            # crash, same as a livelock that exhausts max_cycles --
-            # just without the wait.
-            verdicts[i] = BugVerdict(
-                detected=True,
-                mismatch=Mismatch(
-                    0, "crash", "halt",
-                    f"per-fault timeout: exceeded {timeout:g}s "
-                    f"wall clock",
-                ),
-                timed_out=True,
-            )
-        else:
-            detected, mismatch = value
-            verdicts[i] = BugVerdict(
-                detected=bool(detected), mismatch=mismatch
-            )
-    if quarantined:
-        reg = get_registry()
-        reg.counter("runtime.degradations_total").inc()
-        reg.counter("runtime.quarantined_tasks_total").inc(len(quarantined))
-        for i in quarantined:
-            emit_event(
-                "worker.degraded",
-                bug=entries[i].name,
-                action="oracle-rerun",
-            )
-            detected, mismatch = _rerun_entry_on_oracle(
-                prepared, entries[i]
-            )
-            verdicts[i] = BugVerdict(
-                detected=detected, mismatch=mismatch, degraded=True
-            )
-    # Verdict stream in catalog order from the assembled list --
-    # byte-identical payloads at any jobs/kernel setting (degradation
-    # is reported separately, above).
-    bus = get_bus()
-    if bus.enabled:
-        for entry, verdict in zip(entries, verdicts):
-            bus.emit(
-                "fault.verdict",
-                bug=entry.name,
-                detected=verdict.detected,
-                timed_out=verdict.timed_out,
-            )
-    return verdicts  # type: ignore[return-value] - all slots filled
-
-
 def run_bug_campaign(
     tests: Sequence[Tuple[Sequence[Instruction], Optional[Dict[int, int]],
                           Optional[Sequence[bool]]]],
@@ -356,7 +190,6 @@ def run_bug_campaign(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> BugCampaignResult:
@@ -364,7 +197,8 @@ def run_bug_campaign(
 
     ``tests`` is a sequence of (program, data, branch_oracle) triples;
     a bug counts as detected when *any* of them produces a mismatch.
-    This is the DLX-level analogue of the FSM fault campaigns: the
+    This is the DLX-level analogue of the FSM fault campaigns (the
+    same core drives both: :func:`repro.runtime.runner.run`): the
     test set validates the implementation iff coverage is 100%.
 
     ``jobs`` distributes catalog entries over worker processes; rows
@@ -373,93 +207,26 @@ def run_bug_campaign(
     wall-clock time: a mutant that livelocks (e.g. a bug that traps
     the PC in a loop the squash logic never exits) is recorded as
     detected with a "crash" mismatch instead of stalling the sweep for
-    the full ``max_cycles`` bound.  ``cache`` memoizes rows by
-    (catalog entry, test battery).
+    the full ``max_cycles`` bound.
 
     ``kernel="compiled"`` (default) hands workers small *batches* of
     catalog entries instead of single entries, amortizing the per-task
     shipping of the shared battery; ``"interp"`` keeps the one-entry-
-    per-task dispatch.  Rows are byte-identical either way.
+    per-task dispatch.  Rows are byte-identical either way.  Task
+    failures quarantine the affected entries and re-run them
+    in-process (graceful degradation), flagging the result
+    ``degraded``.
     """
-    if kernel not in ("interp", "compiled"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of "
-            f"('interp', 'compiled')"
-        )
-    with span(
-        "bugcampaign.run",
-        test_name=test_name,
-        tests=len(tests),
-        catalog=len(catalog),
-        jobs=jobs,
-    ):
-        emit_event(
-            "campaign.started",
-            test_name=test_name,
-            catalog=len(catalog),
-            tests=len(tests),
-        )
-        prepared = tuple(
-            (
-                tuple(program),
-                tuple(sorted(data.items())) if data else None,
-                tuple(oracle) if oracle is not None else None,
-                tuple(expected_stream(list(program), data, oracle)),
-            )
-            for program, data, oracle in tests
-        )
-        rows_by_index: Dict[int, BugCampaignRow] = {}
-        keys: List[Optional[Tuple]] = [None] * len(catalog)
-        if cache is not None:
-            bfp = battery_fingerprint(
-                [(p, dict(d) if d else None, o) for p, d, o, _e in prepared]
-            )
-            for i, entry in enumerate(catalog):
-                keys[i] = ("dlx", bfp, entry.name, entry.bugs)
-                hit = cache.lookup(keys[i])
-                if hit is not CampaignCache.MISSING:
-                    rows_by_index[i] = hit
-        pending = [i for i in range(len(catalog)) if i not in rows_by_index]
-        degraded = False
-        if pending:
-            verdicts = sweep_bug_verdicts(
-                prepared,
-                [catalog[i] for i in pending],
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                kernel=kernel,
-                lanes=lanes,
-            )
-            for i, verdict in zip(pending, verdicts):
-                entry = catalog[i]
-                row = BugCampaignRow(
-                    bug_name=entry.name,
-                    mechanism=entry.mechanism,
-                    detected=verdict.detected,
-                    mismatch=verdict.mismatch,
-                )
-                rows_by_index[i] = row
-                degraded = degraded or verdict.degraded
-                if cache is not None and not verdict.timed_out:
-                    cache.store(keys[i], row)
-        rows = tuple(rows_by_index[i] for i in range(len(catalog)))
-        result = BugCampaignResult(
-            test_name=test_name, rows=rows, degraded=degraded
-        )
-        _record_bug_campaign_metrics(result)
-        emit_event(
-            "campaign.finished",
-            test_name=test_name,
-            detected=len(result.detected),
-            escaped=len(result.escaped),
-            coverage=round(result.coverage, 6),
-        )
-    return result
+    from ..runtime.runner import BugPopulation, run
+
+    return run(
+        BugPopulation(tests, catalog, test_name), jobs=jobs,
+        timeout=timeout, retries=retries, kernel=kernel, lanes=lanes,
+    ).result
 
 
 def _record_bug_campaign_metrics(result: BugCampaignResult) -> None:
-    """Fold a finished bug campaign into the metrics registry.
+    """Fold a finished bug campaign into the installed (live) registry.
 
     Computed in the parent from the assembled (order-stable) rows, so
     every aggregate is byte-identical at any ``jobs`` setting.  The
@@ -468,8 +235,6 @@ def _record_bug_campaign_metrics(result: BugCampaignResult) -> None:
     comparison catches it.
     """
     reg = get_registry()
-    if not reg.enabled:
-        return
     for row in result.rows:
         reg.counter(
             "bugcampaign.bugs",
@@ -494,7 +259,6 @@ def campaign_from_concrete_test(
     *,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
 ) -> BugCampaignResult:
     """Bug campaign driven by a single converted tour test."""
@@ -505,7 +269,6 @@ def campaign_from_concrete_test(
         test_name=test_name,
         jobs=jobs,
         timeout=timeout,
-        cache=cache,
         kernel=kernel,
     )
 

@@ -13,7 +13,6 @@ from repro.core.requirements import RequirementResult
 from repro.core.theorems import theorem1_certificate
 from repro.dlx.programs import DIRECTED_PROGRAMS
 from repro.faults import certified_tour_campaign, run_campaign
-from repro.parallel import CampaignCache
 from repro.tour import transition_tour
 from repro.validation import run_bug_campaign
 
@@ -62,16 +61,6 @@ class TestFSMDifferential:
         )
         assert parallel == serial
 
-    def test_cache_does_not_change_results(self, vending):
-        tour = transition_tour(vending)
-        serial = run_campaign(vending, tour.inputs)
-        cache = CampaignCache()
-        cold = run_campaign(vending, tour.inputs, jobs=2, cache=cache)
-        warm = run_campaign(vending, tour.inputs, jobs=2, cache=cache)
-        assert cold == serial and warm == serial
-        assert cache.hits == serial.total
-        assert cache.misses == serial.total
-
 
 class TestDLXDifferential:
     @pytest.fixture(scope="class")
@@ -94,11 +83,3 @@ class TestDLXDifferential:
         assert parallel.rows == serial.rows
         assert str(parallel) == str(serial)
         assert parallel.by_mechanism() == serial.by_mechanism()
-
-    def test_bug_campaign_cache_identical(self, battery, serial):
-        cache = CampaignCache()
-        cold = run_bug_campaign(battery, jobs=2, cache=cache)
-        warm = run_bug_campaign(battery, jobs=2, cache=cache)
-        assert cold.rows == serial.rows
-        assert warm.rows == serial.rows
-        assert cache.hits == len(serial.rows)

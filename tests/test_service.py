@@ -415,6 +415,71 @@ class TestLeaseLifecycle:
         )
 
 
+class TestHostileRecords:
+    """Record validation is total: one hostile record in a report is
+    dropped while its valid siblings are absorbed, journaled and
+    synced, and the reply stays a normal one."""
+
+    def report(self, coordinator, lease, records):
+        return coordinator.report_shard({
+            "lease": lease["lease"],
+            "campaign": lease["campaign"],
+            "shard": lease["shard"],
+            "worker": "w",
+            "records": records,
+        })
+
+    def spooled(self, coordinator, key):
+        from repro.runtime import Journal, run_paths
+
+        journal = run_paths(coordinator._spool_dir(key)).journal
+        return sorted(r["i"] for r in Journal.replay(journal).records)
+
+    @pytest.fixture(scope="class")
+    def dlx_records(self):
+        resolved = resolve_campaign({"target": "dlx"})
+        return simulate_shard(resolved, 0, resolved.total)
+
+    @pytest.mark.parametrize("bad", ["abc", [1], {}, None, True])
+    def test_bad_mismatch_index(self, tmp_path, dlx_records, bad):
+        coordinator = make_coordinator(tmp_path, shard_size=64)
+        view = coordinator.submit({"target": "dlx"})
+        lease = coordinator.lease("w")
+        victim = next(
+            i for i, r in enumerate(dlx_records)
+            if r["mismatch"] is not None
+        )
+        records = [dict(r) for r in dlx_records]
+        records[victim]["mismatch_index"] = bad
+        reply = self.report(coordinator, lease, records)
+        assert reply == {
+            "accepted": True,
+            "absorbed": len(records) - 1,
+            "state": "running",
+        }
+        assert self.spooled(coordinator, view["campaign"]) == [
+            i for i in range(len(records)) if i != victim
+        ]
+        reply = self.report(coordinator, lease, [dlx_records[victim]])
+        assert reply["absorbed"] == 1 and reply["state"] == "done"
+
+    def test_bool_index_is_not_an_index(self, tmp_path):
+        coordinator = make_coordinator(tmp_path, shard_size=512)
+        view = coordinator.submit({"target": "counter"})
+        lease = coordinator.lease("w")
+        resolved = resolve_campaign(lease["spec"])
+        records = simulate_shard(resolved, lease["lo"], lease["hi"])
+        hostile = dict(records[1], i=True)
+        reply = self.report(
+            coordinator, lease, [hostile] + records[2:] + [records[0]]
+        )
+        assert reply["absorbed"] == len(records) - 1
+        assert 1 not in self.spooled(coordinator, view["campaign"])
+        assert coordinator.campaign_view(view["campaign"])["filled"] == (
+            len(records) - 1
+        )
+
+
 class TestQuarantineAndBisect:
     def fail_until(self, coordinator, clock, predicate, limit=500):
         """Keep leasing and expiring until ``predicate()``; the

@@ -324,6 +324,58 @@ class TestWatchSnapshot:
         assert snapshot["progress"] == pytest.approx(0.4)
         assert snapshot["coverage"] is None
 
+    def test_timed_out_verdict_counts_once(self, tmp_path):
+        """A timed-out verdict is journaled detected=True,
+        timed_out=True: it is one detection, not also a missing
+        escape (the progress view's tally)."""
+        import os
+
+        from repro.obs.events import Event
+        from repro.obs.progress import ProgressModel
+        from repro.runtime import (
+            Journal,
+            run_paths,
+            watch_snapshot,
+            write_manifest,
+        )
+
+        run_dir = str(tmp_path / "run")
+        os.makedirs(run_dir)
+        paths = run_paths(run_dir)
+        write_manifest(
+            paths.manifest,
+            {"kind": "fsm", "machine": "m", "fault_count": 4},
+            {"jobs": 1},
+        )
+        records = [
+            {"i": 0, "detected": True, "timed_out": True,
+             "degraded": False},
+            {"i": 1, "detected": True, "timed_out": False,
+             "degraded": False},
+            {"i": 2, "detected": False, "timed_out": False,
+             "degraded": False},
+            {"i": 3, "detected": False, "timed_out": False,
+             "degraded": False},
+        ]
+        with Journal(paths.journal) as journal:
+            for record in records:
+                journal.append(record)
+            journal.sync()
+        snapshot = watch_snapshot(run_dir)
+        assert snapshot["detected"] == 2
+        assert snapshot["timed_out"] == 1
+        assert snapshot["escaped"] == 2
+        model = ProgressModel()
+        for seq, record in enumerate(records):
+            model.handle(Event(seq, "fault.verdict", {
+                "detected": record["detected"],
+                "timed_out": record["timed_out"],
+            }))
+        tally = model.status()
+        assert (tally["detected"], tally["escaped"]) == (
+            snapshot["detected"], snapshot["escaped"]
+        )
+
     def test_missing_manifest_raises(self, tmp_path):
         from repro.runtime import RunDirError, watch_snapshot
 
