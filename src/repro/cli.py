@@ -28,17 +28,19 @@ re-simulates only the missing entries, producing byte-identical
 reports.
 
 The ``tour``, ``validate`` and ``campaign`` subcommands accept
-``--trace FILE`` (span trace; ``.jsonl`` for raw records, anything
-else for Chrome ``trace_event`` JSON loadable in ``chrome://tracing``
-/ Perfetto) and ``--metrics FILE`` (the metrics-registry dump that
-``repro report`` renders), plus the live observatory flags:
-``--events FILE`` streams the typed event bus as JSONL,
-``--progress {auto,always,never}`` controls the one-line stderr
-progress view (``auto`` = only on a TTY), and ``--status-port N``
-serves ``/status``, ``/metrics`` (Prometheus text) and
-``/events?since=N`` on ``127.0.0.1:N`` for the duration of the
-command (``0`` picks an ephemeral port, announced on stderr).  With
-none of these flags the observability layer stays a no-op.
+``--trace FILE`` (the event stream folded into a trace -- spans as
+complete records, every other event as an instant; ``.jsonl`` for raw
+records, anything else for Chrome ``trace_event`` JSON loadable in
+``chrome://tracing`` / Perfetto) and ``--metrics FILE`` (the
+metrics-registry dump that ``repro report`` renders), plus the live
+observatory flags: ``--events FILE`` streams the typed event bus as
+JSONL, ``--progress {auto,always,never}`` controls the one-line
+stderr progress view (``auto`` = only on a TTY), and
+``--status-port N`` serves ``/status``, ``/metrics`` (Prometheus
+text) and ``/events?since=N`` on ``127.0.0.1:N`` for the duration of
+the command (``0`` picks an ephemeral port, announced on stderr).
+``--trace`` and the observatory flags are sinks on one event bus.
+With none of these flags the observability layer stays a no-op.
 """
 
 from __future__ import annotations
@@ -76,15 +78,16 @@ def _campaign_exit(complete: bool, degraded: bool) -> int:
 def _observability(args: argparse.Namespace) -> Iterator[None]:
     """Install the observability layer the flags ask for.
 
-    ``--trace``/``--metrics`` install a live tracer/registry whose
-    dumps are written after the command body finishes (even on error,
-    so a failing campaign still leaves its telemetry behind).
-    ``--events``/``--progress``/``--status-port`` install a live event
-    bus with the matching sinks: a JSONL file, the stderr progress
-    renderer, and the ring buffer + progress model behind the HTTP
-    status server.  With none of the flags set this is a pure
-    pass-through: the global no-op registry/tracer/bus stay installed
-    and instrumented hot paths pay nothing.
+    ``--metrics`` installs a live registry whose dump is written after
+    the command body finishes (even on error, so a failing campaign
+    still leaves its telemetry behind).  ``--trace``/``--events``/
+    ``--progress``/``--status-port`` install one live event bus with
+    the matching sinks: the trace fold (written at the end, like the
+    metrics dump), a JSONL file, the stderr progress renderer, and the
+    ring buffer + progress model behind the HTTP status server.  With
+    none of the flags set this is a pure pass-through: the global
+    no-op registry/bus stay installed and instrumented hot paths pay
+    nothing.
     """
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
@@ -94,12 +97,14 @@ def _observability(args: argparse.Namespace) -> Iterator[None]:
     from .obs import progress_enabled
 
     want_progress = progress_enabled(progress_mode)
-    want_bus = bool(events_path) or want_progress or status_port is not None
+    want_bus = bool(trace_path or events_path or want_progress) or (
+        status_port is not None
+    )
     # The status server's /metrics endpoint reads the *installed*
     # registry, so --status-port implies a live one even without
     # --metrics (the dump is simply not written anywhere).
     want_registry = bool(metrics_path) or status_port is not None
-    if not (trace_path or want_registry or want_bus):
+    if not (want_registry or want_bus):
         yield
         return
     from .obs import (
@@ -108,25 +113,25 @@ def _observability(args: argparse.Namespace) -> Iterator[None]:
         MetricsRegistry,
         ProgressRenderer,
         RingBufferSink,
-        Tracer,
+        TraceSink,
         install_bus,
         install_registry,
-        install_tracer,
         serve_campaign,
     )
 
     registry = MetricsRegistry() if want_registry else None
-    tracer = Tracer() if trace_path else None
     previous_registry = (
         install_registry(registry) if registry is not None else None
     )
-    previous_tracer = install_tracer(tracer) if tracer is not None else None
     bus = EventBus() if want_bus else None
     previous_bus = install_bus(bus) if bus is not None else None
+    trace_sink = None
     jsonl_sink = None
     renderer = None
     server = None
     if bus is not None:
+        if trace_path:
+            trace_sink = bus.add_sink(TraceSink())
         if events_path:
             jsonl_sink = bus.add_sink(JsonlSink(events_path))
         if want_progress:
@@ -160,8 +165,6 @@ def _observability(args: argparse.Namespace) -> Iterator[None]:
             jsonl_sink.close()
         if bus is not None:
             install_bus(previous_bus)
-        if tracer is not None:
-            install_tracer(previous_tracer)
         if registry is not None:
             install_registry(previous_registry)
         if metrics_path and registry is not None:
@@ -169,16 +172,18 @@ def _observability(args: argparse.Namespace) -> Iterator[None]:
                 json.dump(registry.dump(), handle, indent=2,
                           sort_keys=True)
                 handle.write("\n")
-        if trace_path and tracer is not None:
-            tracer.write(trace_path)
+        if trace_sink is not None:
+            trace_sink.write(trace_path)
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         metavar="FILE",
-        help="write a span trace (.jsonl for raw records, otherwise "
-        "Chrome trace_event JSON for chrome://tracing / Perfetto)",
+        help="write the event stream as a trace: spans as complete "
+        "records, other events as instants (.jsonl for raw records, "
+        "otherwise Chrome trace_event JSON for chrome://tracing / "
+        "Perfetto)",
     )
     parser.add_argument(
         "--metrics",

@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing, events and the live observatory.
+"""Observability: metrics, events, tracing and the live observatory.
 
 A dependency-free instrumentation layer for the validation runner.
 All pieces are zero-cost when disabled (the default):
@@ -8,16 +8,18 @@ All pieces are zero-cost when disabled (the default):
   histograms.  ``get_registry()`` returns a shared no-op registry
   until a live one is installed (``scoped_registry()`` for tests,
   the CLI's ``--metrics FILE`` for runs).
-* :mod:`repro.obs.trace` -- ``span("campaign.run", ...)`` context
-  managers and instant events, exported as JSONL or Chrome
+* :mod:`repro.obs.trace` -- :class:`TraceSink`, the event-bus sink
+  that folds ``span(...)`` begin/end events into complete records and
+  every other event into an instant, exported as JSONL or Chrome
   ``trace_event`` JSON (``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.telemetry` -- :class:`CoverageTelemetry`, the
   instrumented replay hook streaming per-transition visit counts,
   first-visit steps and incremental coverage snapshots.
-* :mod:`repro.obs.events` -- the typed event bus behind the live
-  observatory: campaign lifecycle, per-fault verdicts, coverage
-  snapshots and scheduling events fan out to pluggable sinks (JSONL
-  file, in-memory ring, callbacks).
+* :mod:`repro.obs.events` -- the typed event bus, the one stream
+  primitive: campaign lifecycle, per-fault verdicts, coverage
+  snapshots, scheduling events and ``span("campaign.run", ...)``
+  timed regions fan out to pluggable sinks (JSONL file, in-memory
+  ring, trace, callbacks).
 * :mod:`repro.obs.progress` -- :class:`ProgressModel` folds the event
   stream into phase/ETA/throughput state; :class:`ProgressRenderer`
   draws it as a single-line TTY dashboard.
@@ -34,8 +36,8 @@ results; every metric outside the ``*_seconds`` / ``parallel.*``
 / ``cache.*`` namespaces is byte-identical at any ``jobs`` setting
 (see :meth:`MetricsRegistry.deterministic_dump`); and every event
 outside the scheduling namespaces (``chunk.*``, ``worker.*``,
-``journal.*``, ``run.*``) has byte-identical payloads at any
-``jobs``/``kernel`` setting (see
+``journal.*``, ``run.*``, ``service.*``, ``span.*``) has
+byte-identical payloads at any ``jobs``/``kernel`` setting (see
 :func:`repro.obs.events.deterministic_payloads`).
 """
 
@@ -49,6 +51,7 @@ from .bench import (
     render_trajectory,
 )
 from .events import (
+    NOOP_SPAN,
     NULL_BUS,
     Event,
     EventBus,
@@ -60,7 +63,9 @@ from .events import (
     get_bus,
     install_bus,
     is_deterministic_event,
+    muted,
     scoped_bus,
+    span,
 )
 from .metrics import (
     NULL_REGISTRY,
@@ -90,16 +95,7 @@ from .telemetry import (
     record_detection_latencies,
     replay_with_telemetry,
 )
-from .trace import (
-    NOOP_SPAN,
-    Span,
-    Tracer,
-    event,
-    get_tracer,
-    install_tracer,
-    scoped_tracer,
-    span,
-)
+from .trace import TraceSink
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -122,24 +118,21 @@ __all__ = [
     "ProgressRenderer",
     "Regression",
     "RingBufferSink",
-    "Span",
     "StatusServer",
-    "Tracer",
+    "TraceSink",
     "deterministic_payloads",
     "emit_event",
-    "event",
     "find_regressions",
     "get_bus",
     "get_registry",
-    "get_tracer",
     "install_bus",
     "install_registry",
-    "install_tracer",
     "is_deterministic_event",
     "load_bench",
     "load_bench_dir",
     "load_metrics",
     "model_status_provider",
+    "muted",
     "parse_prometheus",
     "progress_enabled",
     "record_bench",
@@ -153,7 +146,6 @@ __all__ = [
     "ring_events_provider",
     "scoped_bus",
     "scoped_registry",
-    "scoped_tracer",
     "serve_campaign",
     "span",
 ]

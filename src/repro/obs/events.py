@@ -1,11 +1,11 @@
 """The campaign event bus: typed structured events, pluggable sinks.
 
-The third leg of the observability layer (metrics are the numeric
-half, spans the temporal half): a process-global stream of *what the
-run is doing right now*, fanned out to pluggable sinks -- a JSONL
-file, an in-memory ring buffer (the ``/events`` endpoint's backing
-store), or arbitrary callbacks (the progress view, the status
-tracker).
+The stream half of the observability layer (the metrics registry is
+the aggregate half): a process-global stream of *what the run is
+doing right now*, fanned out to pluggable sinks -- a JSONL file, an
+in-memory ring buffer (the ``/events`` endpoint's backing store), the
+Chrome trace fold (:class:`repro.obs.trace.TraceSink`), or arbitrary
+callbacks (the progress view, the status tracker).
 
 Event taxonomy (names are dotted, lowest-frequency first):
 
@@ -32,6 +32,11 @@ Event taxonomy (names are dotted, lowest-frequency first):
     Campaign-service lifecycle: submissions admitted, shards leased,
     leases expired, shards completed/bisected, result-store hits.
     Lease traffic is timing-dependent by nature.
+``span.begin`` / ``span.end``
+    A timed region opened / closed by :func:`span`.  The end event
+    carries the duration ``dur`` (seconds), the span's attributes and,
+    when the region raised, the exception class as ``error``.  Wall
+    time by nature.
 
 **The determinism contract.**  Event *payloads* carry only data that
 is byte-identical at any ``--jobs`` / ``--kernel`` setting; wall-clock
@@ -39,28 +44,37 @@ timestamps, sequence numbers and process ids live in the envelope
 (:meth:`Event.to_json_dict` puts them under ``"meta"``), mirroring how
 the metrics registry segregates ``*_seconds`` timings.  Events whose
 very *occurrence* is scheduling- or environment-dependent --
-``chunk.*``, ``worker.*``, ``journal.*``, ``run.*`` -- are excluded
-from the deterministic view altogether, exactly like the
-``parallel.*`` / ``runtime.*`` metric namespaces:
+``chunk.*``, ``worker.*``, ``journal.*``, ``run.*``, ``service.*``,
+``span.*`` -- are excluded from the deterministic view altogether,
+exactly like the ``parallel.*`` / ``runtime.*`` metric namespaces:
 :func:`deterministic_payloads` keeps only the events the differential
 tests compare.
 
 **Zero cost when disabled.**  The process-global bus defaults to
-:data:`NULL_BUS`; :func:`emit_event` is one global read and a
-truthiness check when no live bus is installed, and no event object is
-ever allocated.
+:data:`NULL_BUS`; :func:`emit_event` and :func:`span` are one global
+read and a truthiness check when no live bus is installed, and no
+event or span object is ever allocated.
+
+**Workers are silent.**  A bus belongs to the process that created
+it: a worker process that inherits a live bus through ``fork`` drops
+every emit instead of writing into the parent's sinks (its JSONL
+handle, its progress line).  What a worker did reaches the stream
+through its results, which the parent emits.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -71,15 +85,16 @@ from typing import (
 
 #: Event-name prefixes whose occurrence depends on scheduling or the
 #: environment (task placement, worker failures, journal slicing,
-#: resume accounting, campaign-service lease/shard traffic).  Excluded
-#: from the deterministic view, exactly like the ``parallel.*`` /
-#: ``runtime.*`` metric namespaces.
+#: resume accounting, campaign-service lease/shard traffic, span
+#: timings).  Excluded from the deterministic view, exactly like the
+#: ``parallel.*`` / ``runtime.*`` metric namespaces.
 SCHEDULING_PREFIXES: Tuple[str, ...] = (
     "chunk.",
     "worker.",
     "journal.",
     "run.",
     "service.",
+    "span.",
 )
 
 
@@ -190,9 +205,11 @@ class RingBufferSink:
 class EventBus:
     """A live event bus: numbered events fanned out to sinks.
 
-    Sinks are callables taking one :class:`Event`.  A sink that raises
-    is dropped from the fan-out (and the error swallowed): telemetry
-    must never take down the campaign it is watching.
+    Sinks are callables taking one :class:`Event`, called on the
+    emitting thread.  A sink that raises is dropped from the fan-out
+    (and the error swallowed): telemetry must never take down the
+    campaign it is watching.  Emits from any process other than the
+    one that created the bus (a forked pool worker) are dropped.
     """
 
     enabled = True
@@ -201,6 +218,7 @@ class EventBus:
         self._sinks: List[Callable[[Event], None]] = []
         self._seq = 0
         self._lock = threading.Lock()
+        self._pid = os.getpid()
 
     def add_sink(
         self, sink: Callable[[Event], None]
@@ -215,9 +233,9 @@ class EventBus:
                 self._sinks.remove(sink)
 
     def emit(self, name: str, **payload: Any) -> Optional[Event]:
-        import os
-        import time
-
+        pid = os.getpid()
+        if pid != self._pid:
+            return None
         with self._lock:
             self._seq += 1
             event = Event(
@@ -225,7 +243,7 @@ class EventBus:
                 name=name,
                 payload=payload,
                 ts=time.time(),
-                pid=os.getpid(),
+                pid=pid,
             )
             sinks = list(self._sinks)
         dead: List[Callable[[Event], None]] = []
@@ -286,8 +304,79 @@ def scoped_bus(bus: Optional[EventBus] = None) -> Iterator[EventBus]:
         install_bus(previous)
 
 
+def muted() -> ContextManager[EventBus]:
+    """Silence the bus for a ``with`` block (spans and events alike)."""
+    return scoped_bus(NULL_BUS)
+
+
 def emit_event(name: str, **payload: Any) -> None:
     """Emit an event on the global bus; free when the bus is disabled."""
     bus = _ACTIVE
     if bus.enabled:
         bus.emit(name, **payload)
+
+
+class _NoopSpan:
+    """Shared do-nothing span for the disabled path."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *_exc: Any) -> bool:
+        return False
+
+    def set(self, **_attrs: Any) -> None:
+        pass
+
+
+NOOP_SPAN = _NoopSpan()
+
+
+class _BusSpan:
+    """One live span: ``span.begin`` on entry, ``span.end`` on exit,
+    both on the bus that was installed when the span was made."""
+
+    __slots__ = ("_bus", "name", "args", "_t0")
+
+    def __init__(self, bus: EventBus, name: str, args: Dict[str, Any]):
+        self._bus = bus
+        self.name = name
+        self.args = args
+        self._t0 = 0.0
+
+    def set(self, **attrs: Any) -> None:
+        """Attach attributes to the span after creation."""
+        self.args.update(attrs)
+
+    def __enter__(self) -> "_BusSpan":
+        self._bus.emit("span.begin", span=self.name,
+                       args=_jsonable(self.args))
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type: Any, *_exc: Any) -> bool:
+        dur = time.perf_counter() - self._t0
+        if exc_type is not None:
+            self.args["error"] = exc_type.__name__
+        self._bus.emit("span.end", span=self.name, dur=dur,
+                       args=_jsonable(self.args))
+        return False
+
+
+def _jsonable(args: Dict[str, Any]) -> Dict[str, Any]:
+    """Span attributes with every non-JSON scalar replaced by its repr."""
+    return {
+        k: v if isinstance(v, (str, int, float, bool)) or v is None
+        else repr(v)
+        for k, v in args.items()
+    }
+
+
+def span(name: str, **args: Any) -> Any:
+    """A timed region on the global bus; a shared no-op when disabled."""
+    bus = _ACTIVE
+    if not bus.enabled:
+        return NOOP_SPAN
+    return _BusSpan(bus, name, args)

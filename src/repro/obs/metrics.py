@@ -1,7 +1,7 @@
 """Deterministic metrics: counters, gauges and fixed-bucket histograms.
 
-The registry is the numeric half of the observability layer (the
-tracer in :mod:`repro.obs.trace` is the temporal half).  Three design
+The registry is the aggregate half of the observability layer (the
+event bus in :mod:`repro.obs.events` is the stream half).  Three design
 rules keep it compatible with the differential guarantee that campaign
 results -- and their coverage/latency aggregates -- are byte-identical
 at any worker count:

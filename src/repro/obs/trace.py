@@ -1,225 +1,102 @@
-"""Span tracing with JSONL and Chrome ``trace_event`` export.
+"""The Chrome trace: a fold of the event stream.
 
-A :class:`Tracer` collects *spans* (named, nested, timed regions) and
-*instant events*.  The module-level :func:`span` / :func:`event`
-helpers route through the process-global tracer, which is ``None`` by
-default: an un-instrumented run pays one global read and a truthiness
-check per call site, and no record is ever allocated.
+:class:`TraceSink` is one more sink on the event bus.  It folds each
+``span.begin``/``span.end`` pair (see :func:`repro.obs.events.span`)
+into a complete ("ph": "X") record with microsecond ``ts``/``dur``,
+and every other event into an instant ("ph": "i") record whose args
+are the event payload -- coverage snapshots, fault verdicts and
+scheduling events land on the same timeline as the spans around them.
 
-Finished traces export two ways:
+Finished traces export two ways; :meth:`TraceSink.write` picks the
+format from the file extension:
 
-* ``write_jsonl(path)`` -- one JSON object per line, the raw record
-  stream (easy to grep / post-process);
-* ``write_chrome(path)`` -- a Chrome ``trace_event`` JSON object
+* ``.jsonl`` -- one JSON object per record, in completion order
+  (spans record on exit, so an inner span precedes its parent), with
+  the span nesting ``depth``;
+* anything else -- a Chrome ``trace_event`` JSON object
   (``{"traceEvents": [...]}``) loadable in ``chrome://tracing`` or
-  Perfetto.  Spans are complete ("ph": "X") events with microsecond
-  ``ts``/``dur``; instant events use "ph": "i".
-
-:meth:`Tracer.write` picks the format from the file extension
-(``.jsonl`` -> JSONL, anything else -> Chrome).
+  Perfetto.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List
+
+from .events import Event
 
 
-class _NoopSpan:
-    """Shared do-nothing span for the disabled path."""
+class TraceSink:
+    """Collects trace records from the bus in memory until written.
 
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *_exc: Any) -> bool:
-        return False
-
-    def set(self, **_attrs: Any) -> None:
-        pass
-
-
-NOOP_SPAN = _NoopSpan()
-
-
-class Span:
-    """One live span; records itself into the tracer on exit."""
-
-    __slots__ = ("_tracer", "name", "args", "_t0", "_depth")
-
-    def __init__(self, tracer: "Tracer", name: str, args: Dict[str, Any]):
-        self._tracer = tracer
-        self.name = name
-        self.args = args
-        self._t0 = 0.0
-        self._depth = 0
-
-    def set(self, **attrs: Any) -> None:
-        """Attach attributes to the span after creation."""
-        self.args.update(attrs)
-
-    def __enter__(self) -> "Span":
-        self._depth = self._tracer._push()
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Any, *_exc: Any) -> bool:
-        elapsed = time.perf_counter() - self._t0
-        self._tracer._pop()
-        if exc_type is not None:
-            self.args["error"] = exc_type.__name__
-        self._tracer._record_span(
-            self.name, self._t0, elapsed, self._depth, self.args
-        )
-        return False
-
-
-class Tracer:
-    """Collects span/event records in memory until saved."""
-
-    enabled = True
+    Sinks run on the emitting thread, so the thread id of each record
+    is the thread that emitted it, and span pairs are matched per
+    thread.
+    """
 
     def __init__(self) -> None:
-        self._origin = time.perf_counter()
+        self._origin = time.time()
         self._records: List[Dict[str, Any]] = []
-        self._local = threading.local()
+        self._open: Dict[int, List[float]] = {}
         self._lock = threading.Lock()
 
-    # -- span bookkeeping -------------------------------------------------
-    def _push(self) -> int:
-        depth = getattr(self._local, "depth", 0)
-        self._local.depth = depth + 1
-        return depth
-
-    def _pop(self) -> None:
-        self._local.depth = getattr(self._local, "depth", 1) - 1
+    def __call__(self, event: Event) -> None:
+        tid = threading.get_ident()
+        p = event.payload
+        with self._lock:
+            stack = self._open.setdefault(tid, [])
+            if event.name == "span.begin":
+                stack.append(event.ts)
+                return
+            record: Dict[str, Any]
+            if event.name == "span.end":
+                t0 = stack.pop() if stack else event.ts - p["dur"]
+                record = {
+                    "name": p["span"],
+                    "ph": "X",
+                    "ts": self._us(t0),
+                    "dur": max(0, int(p["dur"] * 1_000_000)),
+                    "depth": len(stack),
+                    "args": p["args"],
+                }
+            else:
+                record = {
+                    "name": event.name,
+                    "ph": "i",
+                    "ts": self._us(event.ts),
+                    "s": "t",
+                    "args": dict(p),
+                }
+            record.update(cat="repro", pid=event.pid, tid=tid)
+            self._records.append(record)
 
     def _us(self, t: float) -> int:
-        return int((t - self._origin) * 1_000_000)
-
-    def _record_span(
-        self,
-        name: str,
-        t0: float,
-        elapsed: float,
-        depth: int,
-        args: Dict[str, Any],
-    ) -> None:
-        record = {
-            "name": name,
-            "cat": "repro",
-            "ph": "X",
-            "ts": self._us(t0),
-            "dur": max(0, int(elapsed * 1_000_000)),
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-            "depth": depth,
-            "args": {k: _jsonable(v) for k, v in args.items()},
-        }
-        with self._lock:
-            self._records.append(record)
-
-    # -- public API -------------------------------------------------------
-    def span(self, name: str, **args: Any) -> Span:
-        return Span(self, name, args)
-
-    def event(self, name: str, **args: Any) -> None:
-        """Record an instant (zero-duration) event."""
-        record = {
-            "name": name,
-            "cat": "repro",
-            "ph": "i",
-            "ts": self._us(time.perf_counter()),
-            "s": "t",
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-            "args": {k: _jsonable(v) for k, v in args.items()},
-        }
-        with self._lock:
-            self._records.append(record)
+        return max(0, int((t - self._origin) * 1_000_000))
 
     @property
     def records(self) -> List[Dict[str, Any]]:
-        """A snapshot of the collected records (submission order)."""
+        """A snapshot of the collected records (completion order)."""
         with self._lock:
             return list(self._records)
 
-    def to_chrome(self) -> Dict[str, Any]:
-        """The trace as a Chrome ``trace_event`` JSON object."""
-        events = []
-        for record in self.records:
-            event = {k: v for k, v in record.items() if k != "depth"}
-            events.append(event)
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_chrome(), handle, indent=1)
-            handle.write("\n")
-
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-
     def write(self, path: str) -> None:
         """Save the trace; ``.jsonl`` extension selects JSONL."""
-        if path.endswith(".jsonl"):
-            self.write_jsonl(path)
-        else:
-            self.write_chrome(path)
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce a span attribute to something JSON-serializable."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
-_TRACER: Optional[Tracer] = None
-
-
-def get_tracer() -> Optional[Tracer]:
-    """The process-global tracer, or None when tracing is disabled."""
-    return _TRACER
-
-
-def install_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install ``tracer`` globally; returns the previous one."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
-    return previous
-
-
-@contextmanager
-def scoped_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install a fresh (or given) tracer for a ``with`` block."""
-    t = Tracer() if tracer is None else tracer
-    previous = install_tracer(t)
-    try:
-        yield t
-    finally:
-        install_tracer(previous)
-
-
-def span(name: str, **args: Any) -> Any:
-    """A span on the global tracer; a shared no-op when disabled."""
-    tracer = _TRACER
-    if tracer is None or not tracer.enabled:
-        return NOOP_SPAN
-    return tracer.span(name, **args)
-
-
-def event(name: str, **args: Any) -> None:
-    """An instant event on the global tracer; no-op when disabled."""
-    tracer = _TRACER
-    if tracer is not None and tracer.enabled:
-        tracer.event(name, **args)
+        records = self.records
+        with open(path, "w") as handle:
+            if path.endswith(".jsonl"):
+                for record in records:
+                    handle.write(json.dumps(record, sort_keys=True))
+                    handle.write("\n")
+                return
+            events = [
+                {k: v for k, v in r.items() if k != "depth"}
+                for r in records
+            ]
+            json.dump(
+                {"traceEvents": events, "displayTimeUnit": "ms"},
+                handle,
+                indent=1,
+            )
+            handle.write("\n")

@@ -27,6 +27,19 @@ import hashlib
 from dataclasses import dataclass
 
 
+def seeded_fraction(*parts: object) -> float:
+    """A fraction in [0, 1) that is a pure hash of ``parts``.
+
+    The one seeded draw of the package: backoff jitter and both chaos
+    plans (:mod:`repro.runtime.chaos`) hash ``"seed:key:..."`` here, so
+    the same seed replays the same schedule in any process.
+    """
+    digest = hashlib.sha256(
+        ":".join(map(str, parts)).encode("utf-8", "backslashreplace")
+    ).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+
+
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Delay schedule for attempt ``1, 2, 3, ...`` of a keyed retry.
@@ -59,11 +72,7 @@ class BackoffPolicy:
 
     def fraction(self, key: str, attempt: int) -> float:
         """The deterministic jitter fraction in [0, 1) for one retry."""
-        digest = hashlib.sha256(
-            f"{self.seed}:{key}:{attempt}".encode("utf-8",
-                                                  "backslashreplace")
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+        return seeded_fraction(self.seed, key, attempt)
 
     def delay(self, attempt: int, key: str = "") -> float:
         """Seconds to wait before retry number ``attempt`` (1-based).

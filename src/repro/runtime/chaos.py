@@ -38,15 +38,17 @@ contain no chaos logic at all.  Three guards keep chaos runs useful:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, Optional, Sequence, Set, Tuple,
+)
 
 from ..parallel import install_task_wrapper
+from ..parallel.backoff import seeded_fraction
 
 #: Failure modes in cumulative-probability order (stable: the spec
 #: string "crash=0.1,error=0.1" always carves [0,0.1) for crash and
@@ -90,16 +92,47 @@ class ChaosPlan:
 
     def mode_for(self, key: str) -> Optional[str]:
         """The failure mode for a task key, or None (clean task)."""
-        digest = hashlib.sha256(
-            f"{self.seed}:{key}".encode("utf-8", "backslashreplace")
-        ).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        cumulative = 0.0
-        for mode in MODES:
-            cumulative += getattr(self, mode)
-            if fraction < cumulative:
-                return mode
-        return None
+        return _pick_mode(
+            [(mode, getattr(self, mode)) for mode in MODES],
+            seeded_fraction(self.seed, key),
+        )
+
+
+def _pick_mode(
+    rates: Sequence[Tuple[str, float]], fraction: float
+) -> Optional[str]:
+    """The mode whose slice of the unit interval holds ``fraction``:
+    the rates carve consecutive slices in order; past them, None."""
+    cumulative = 0.0
+    for mode, rate in rates:
+        cumulative += rate
+        if fraction < cumulative:
+            return mode
+    return None
+
+
+def _parse_spec(
+    spec: str, keys: Sequence[str], label: str
+) -> Dict[str, Any]:
+    """Comma-separated ``key=value`` pairs: ``seed`` an int, every
+    other key a float.  Unknown keys and malformed values raise
+    ``ValueError`` naming the ``label`` and the offending part."""
+    kwargs: Dict[str, Any] = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, value = part.partition("=")
+        key = key.strip()
+        if not sep or key not in keys:
+            raise ValueError(f"bad {label} spec part {part!r}")
+        try:
+            kwargs[key] = int(value) if key == "seed" else float(value)
+        except ValueError:
+            raise ValueError(
+                f"bad {label} spec part {part!r}: not a number"
+            ) from None
+    return kwargs
 
 
 def parse_plan(spec: str) -> ChaosPlan:
@@ -109,24 +142,9 @@ def parse_plan(spec: str) -> ChaosPlan:
     ``"seed=7,crash=0.1,hang=0.05,hang_seconds=2"``.  Unknown keys and
     malformed values raise ``ValueError`` with the offending part.
     """
-    kwargs: dict = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in (
-            "seed", "hang_seconds", *MODES
-        ):
-            raise ValueError(f"bad chaos spec part {part!r}")
-        try:
-            kwargs[key] = int(value) if key == "seed" else float(value)
-        except ValueError:
-            raise ValueError(
-                f"bad chaos spec part {part!r}: not a number"
-            ) from None
-    return ChaosPlan(**kwargs)
+    return ChaosPlan(
+        **_parse_spec(spec, ("seed", "hang_seconds", *MODES), "chaos")
+    )
 
 
 #: (seed, task-key) pairs that already fired in this process.
@@ -219,38 +237,18 @@ class ShardChaosPlan:
         """``"kill"``, ``"hang"`` or None for one shard lease."""
         if attempt:
             return None
-        digest = hashlib.sha256(
-            f"{self.seed}:{campaign}:{shard}".encode(
-                "utf-8", "backslashreplace"
-            )
-        ).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        if fraction < self.kill:
-            return "kill"
-        if fraction < self.kill + self.hang:
-            return "hang"
-        return None
+        return _pick_mode(
+            [("kill", self.kill), ("hang", self.hang)],
+            seeded_fraction(self.seed, campaign, shard),
+        )
 
 
 def parse_shard_plan(spec: str) -> ShardChaosPlan:
     """A :class:`ShardChaosPlan` from a ``--chaos`` spec string, e.g.
     ``"seed=3,kill=1.0"`` or ``"hang=0.5,hang_seconds=1"``."""
-    kwargs: dict = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("seed", "kill", "hang", "hang_seconds"):
-            raise ValueError(f"bad shard chaos spec part {part!r}")
-        try:
-            kwargs[key] = int(value) if key == "seed" else float(value)
-        except ValueError:
-            raise ValueError(
-                f"bad shard chaos spec part {part!r}: not a number"
-            ) from None
-    return ShardChaosPlan(**kwargs)
+    return ShardChaosPlan(**_parse_spec(
+        spec, ("seed", "kill", "hang", "hang_seconds"), "shard chaos"
+    ))
 
 
 @contextmanager

@@ -62,6 +62,7 @@ from ..obs import SECONDS_BUCKETS, get_registry, scoped_registry, span
 from ..obs.events import emit_event, get_bus
 from ..parallel import (
     MUTANT_BATCH,
+    BackoffPolicy,
     batch_unit,
     battery_fingerprint,
     check_kernel,
@@ -99,10 +100,9 @@ from .journal import (
 DEFAULT_SLICE = 64
 
 #: Bounded exponential backoff for quarantined oracle re-runs: up to
-#: DEGRADE_ATTEMPTS attempts, sleeping DEGRADE_BACKOFF,
-#: 2*DEGRADE_BACKOFF, ... between them.
+#: DEGRADE_ATTEMPTS attempts, sleeping 0.02 s, 0.04 s, ... between them.
 DEGRADE_ATTEMPTS = 3
-DEGRADE_BACKOFF = 0.02
+DEGRADE_BACKOFF = BackoffPolicy(base=0.02, jitter=0)
 
 
 def fsm_campaign_identity(
@@ -537,12 +537,10 @@ def _rerun_on_oracle(population: Population, item: Any) -> Any:
     the re-run goes through :func:`run_task_inline` and therefore the
     identical executor frames.
     """
-    delay = DEGRADE_BACKOFF
     error: Optional[str] = None
     for attempt in range(DEGRADE_ATTEMPTS):
         if attempt:
-            time.sleep(delay)
-            delay *= 2
+            time.sleep(DEGRADE_BACKOFF.delay(attempt))
             get_registry().counter("runtime.degrade_retries_total").inc()
         outcome = run_task_inline(population.task, population.shared, item)
         if outcome.ok:

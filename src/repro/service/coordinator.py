@@ -59,7 +59,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs.events import NULL_BUS, emit_event, install_bus
+from ..obs.events import emit_event, muted
 from ..parallel.backoff import BackoffPolicy
 from ..runtime.journal import Journal, RunDirError
 from ..runtime.runner import (
@@ -417,7 +417,7 @@ class Coordinator:
         with self._lock:
             self._expire(now)
             self.stats["heartbeats"] += 1
-            located = self._leases.get(lease_id)
+            located = _lookup(self._leases, lease_id, str)
             if located is None:
                 return {
                     "ok": False,
@@ -546,7 +546,9 @@ class Coordinator:
             return {"accepted": False, "reason": "malformed payload"}
         with self._lock:
             self._expire(now)
-            campaign = self._campaigns.get(payload.get("campaign"))
+            campaign = _lookup(
+                self._campaigns, payload.get("campaign"), str
+            )
             if campaign is None:
                 return {
                     "accepted": False, "reason": "unknown campaign",
@@ -557,7 +559,7 @@ class Coordinator:
                     "accepted": False,
                     "reason": f"campaign already {campaign.state}",
                 }
-            shard = campaign.shards.get(payload.get("shard"))
+            shard = _lookup(campaign.shards, payload.get("shard"), int)
             error = payload.get("error")
             if error is not None:
                 if (
@@ -648,13 +650,10 @@ class Coordinator:
         # events; a plain serial campaign (no registry) does not.
         # Mute the bus so the service's deterministic projection
         # stays byte-identical to the `--jobs 1` reference.
-        previous_bus = install_bus(NULL_BUS)
-        try:
+        with muted():
             result, report, metrics = finalize(
                 population, campaign.verdicts
             )
-        finally:
-            install_bus(previous_bus)
         # The canonical verdict stream, in fault-index order from the
         # assembled verdicts: a chaos-harassed multi-worker run
         # projects to the same events as an uninterrupted --jobs 1 run.
@@ -749,6 +748,13 @@ class Coordinator:
                 "workers": leased,
                 "stats": dict(self.stats),
             }
+
+
+def _lookup(table: Dict[Any, Any], key: Any, kind: type) -> Any:
+    """``table[key]``, or None when absent or when ``key`` is not
+    exactly a ``kind`` -- a JSON list or object from the wire is no
+    key (and unhashable), a JSON ``true`` is no shard id."""
+    return table.get(key) if type(key) is kind else None
 
 
 def _carve(

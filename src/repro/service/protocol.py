@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
-from ..obs.events import NULL_BUS, install_bus
+from ..obs.events import muted
 from ..parallel import KERNELS, check_kernel
 from ..runtime.runner import BugPopulation, FaultPopulation, Population
 
@@ -218,14 +218,11 @@ def simulate_shard(
     # the canonical full stream at finalize.  Mute the bus here so an
     # in-process worker never double-emits.
     population = resolved.population
-    previous_bus = install_bus(NULL_BUS)
-    try:
+    with muted():
         verdicts = population.sweep(
             population.items[lo:hi], jobs=1, timeout=spec["timeout"],
             kernel=kernel, lanes=spec["lanes"],
         )
-    finally:
-        install_bus(previous_bus)
     return [
         population.encode(
             lo + offset, replace(v, degraded=True) if mark_degraded else v

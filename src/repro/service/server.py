@@ -116,6 +116,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = urlparse(self.path).path
         payload, error = self._read_json()
+        if error is None and not isinstance(payload, dict):
+            error = "request body must be a JSON object"
         if error is not None:
             self._send(400, {"error": error})
             return
@@ -123,9 +125,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         try:
             if path == "/api/campaigns":
                 try:
-                    view = coordinator.submit(
-                        (payload or {}).get("spec")
-                    )
+                    view = coordinator.submit(payload.get("spec"))
                 except SpecError as exc:
                     self._send(400, {"error": str(exc)})
                     return
@@ -145,14 +145,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     return
                 self._send(200, view)
             elif path == "/api/lease":
-                worker = (payload or {}).get("worker") or "anonymous"
+                worker = payload.get("worker") or "anonymous"
                 self._send(200, coordinator.lease(str(worker)))
             elif path == "/api/heartbeat":
                 self._send(
-                    200,
-                    coordinator.heartbeat(
-                        (payload or {}).get("lease")
-                    ),
+                    200, coordinator.heartbeat(payload.get("lease"))
                 )
             elif path == "/api/shard-result":
                 self._send(200, coordinator.report_shard(payload))

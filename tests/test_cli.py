@@ -238,6 +238,34 @@ class TestQuantileEdges:
 
 
 class TestObservatoryFlags:
+    def test_events_and_trace_share_one_stream(self, tmp_path, capsys):
+        import json
+        import os
+
+        events = tmp_path / "events.jsonl"
+        trace = tmp_path / "trace.json"
+        assert main(["campaign", "dlx", "--jobs", "2",
+                     "--events", str(events), "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        records = [
+            json.loads(line)
+            for line in events.read_text().splitlines()
+        ]
+        # One stream, one process: every event in the file (spans
+        # included) is the parent's, and the trace folds that stream.
+        assert {r["meta"]["pid"] for r in records} == {os.getpid()}
+        assert any(r["name"] == "span.begin" for r in records)
+        timeline = json.loads(trace.read_text())["traceEvents"]
+        assert any(
+            e["name"] == "bugcampaign.run" and e["ph"] == "X"
+            for e in timeline
+        )
+        verdicts = [e for e in timeline if e["name"] == "fault.verdict"]
+        assert verdicts and all(e["ph"] == "i" for e in verdicts)
+        assert len(verdicts) == sum(
+            r["name"] == "fault.verdict" for r in records
+        )
+
     def test_campaign_events_jsonl(self, tmp_path, capsys):
         import json
 
@@ -249,7 +277,11 @@ class TestObservatoryFlags:
             json.loads(line)
             for line in events.read_text().splitlines()
         ]
-        names = [r["name"] for r in records]
+        # Spans are bus events too: they open and close around the
+        # campaign lifecycle, which brackets every other event.
+        every = [r["name"] for r in records]
+        assert every.count("span.begin") == every.count("span.end") > 0
+        names = [n for n in every if not n.startswith("span.")]
         assert names[0] == "campaign.started"
         assert "fault.verdict" in names
         assert "chunk.dispatched" in names

@@ -9,6 +9,7 @@ the event-folding progress model behind the TTY view and ``/status``.
 
 import io
 import json
+import os
 
 import pytest
 
@@ -24,7 +25,9 @@ from repro.obs.events import (
     get_bus,
     install_bus,
     is_deterministic_event,
+    muted,
     scoped_bus,
+    span,
 )
 from repro.obs.progress import (
     ProgressModel,
@@ -144,6 +147,45 @@ class TestGlobalBus:
     def test_isinstance_hierarchy(self):
         assert isinstance(NULL_BUS, NullBus)
         assert isinstance(NULL_BUS, EventBus)
+
+
+def _noisy_task(item):
+    with span("task", item=item):
+        emit_event("task.ran", item=item)
+    return os.getpid()
+
+
+class TestSilentProcesses:
+    def test_muted_silences_spans_and_events(self):
+        with scoped_bus() as bus:
+            ring = bus.add_sink(RingBufferSink())
+            with muted():
+                assert get_bus() is NULL_BUS
+                _noisy_task(0)
+            assert get_bus() is bus
+            _noisy_task(1)
+        assert [e.name for e in ring.events()] == [
+            "span.begin", "task.ran", "span.end",
+        ]
+
+    def test_forked_workers_never_emit(self, tmp_path):
+        from repro.parallel import parallel_map
+
+        path = tmp_path / "events.jsonl"
+        with scoped_bus() as bus:
+            sink = bus.add_sink(JsonlSink(str(path)))
+            outcomes = parallel_map(_noisy_task, [1, 2, 3, 4], jobs=2)
+            sink.close()
+        workers = {o.value for o in outcomes}
+        assert os.getpid() not in workers  # the tasks ran in the pool
+        records = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        # The inherited sink saw only the parent's scheduling events.
+        assert {r["meta"]["pid"] for r in records} == {os.getpid()}
+        names = {r["name"] for r in records}
+        assert "chunk.dispatched" in names
+        assert "task.ran" not in names
 
 
 class TestJsonlSink:

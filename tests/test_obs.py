@@ -1,35 +1,48 @@
 """Tests for the observability layer (repro.obs).
 
-Covers the ISSUE acceptance points for the instrumentation subsystem:
-histogram bucket determinism, span nesting and Chrome-trace schema
-validity, zero-cost-when-disabled behaviour, coverage telemetry, and
-the differential guarantee that metrics aggregates are identical for
+Covers histogram bucket determinism, span nesting and Chrome-trace
+schema validity (spans ride the event bus, the trace is a bus sink),
+zero-cost-when-disabled behaviour, coverage telemetry, and the
+differential guarantee that metrics aggregates are identical for
 ``jobs=1`` vs ``jobs=4``.
 """
 
 import json
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.faults import run_campaign
 from repro.models import counter, vending_machine
 from repro.obs import (
+    NOOP_SPAN,
+    NULL_BUS,
     NULL_REGISTRY,
     STEP_BUCKETS,
     CoverageTelemetry,
     Histogram,
     MetricsRegistry,
+    RingBufferSink,
+    TraceSink,
+    deterministic_payloads,
+    emit_event,
+    get_bus,
     get_registry,
-    get_tracer,
     record_detection_latencies,
     replay_with_telemetry,
+    scoped_bus,
     scoped_registry,
-    scoped_tracer,
     span,
 )
-from repro.obs.trace import NOOP_SPAN
 from repro.tour import transition_tour
+
+
+@contextmanager
+def traced():
+    """A live bus with a trace sink attached, for one ``with`` block."""
+    with scoped_bus() as bus:
+        yield bus.add_sink(TraceSink())
 
 
 class TestHistogram:
@@ -141,42 +154,54 @@ class TestRegistry:
 
 class TestTracing:
     def test_span_disabled_by_default(self):
-        assert get_tracer() is None
+        assert get_bus() is NULL_BUS
         assert span("anything", x=1) is NOOP_SPAN
 
     def test_span_nesting_depths(self):
-        with scoped_tracer() as tracer:
+        with traced() as trace:
             with span("outer", model="m"):
                 with span("inner"):
                     pass
-        names = {r["name"]: r for r in tracer.records}
+        names = {r["name"]: r for r in trace.records}
         # Inner span completes (and records) first.
-        assert [r["name"] for r in tracer.records] == ["inner", "outer"]
+        assert [r["name"] for r in trace.records] == ["inner", "outer"]
         assert names["outer"]["depth"] == 0
         assert names["inner"]["depth"] == 1
         assert names["outer"]["args"] == {"model": "m"}
 
     def test_span_records_error_on_exception(self):
-        with scoped_tracer() as tracer:
+        with traced() as trace:
             with pytest.raises(RuntimeError):
                 with span("boom"):
                     raise RuntimeError("nope")
-        (record,) = tracer.records
+        (record,) = trace.records
         assert record["args"]["error"] == "RuntimeError"
 
     def test_span_set_attributes(self):
-        with scoped_tracer() as tracer:
+        with traced() as trace:
             with span("work") as sp:
                 sp.set(items=3)
-        (record,) = tracer.records
+        (record,) = trace.records
         assert record["args"]["items"] == 3
 
+    def test_span_events_on_the_bus(self):
+        with scoped_bus() as bus:
+            seen = bus.add_sink(RingBufferSink())
+            with span("work", model="m") as sp:
+                sp.set(items=3)
+        begin, end = seen.events()
+        assert (begin.name, end.name) == ("span.begin", "span.end")
+        assert begin.payload == {"span": "work", "args": {"model": "m"}}
+        assert end.payload["args"] == {"model": "m", "items": 3}
+        assert end.payload["dur"] >= 0
+        assert deterministic_payloads(seen.events()) == []
+
     def test_chrome_trace_schema(self, tmp_path):
-        with scoped_tracer() as tracer:
+        with traced() as trace:
             with span("outer", model="m"):
-                tracer.event("tick", step=1)
+                emit_event("tick", step=1)
         path = tmp_path / "trace.json"
-        tracer.write(str(path))
+        trace.write(str(path))
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
@@ -192,27 +217,30 @@ class TestTracing:
         assert complete[0]["dur"] >= 0
         instant = [e for e in events if e["ph"] == "i"]
         assert instant[0]["s"] == "t"
+        assert instant[0]["name"] == "tick"
+        assert instant[0]["args"] == {"step": 1}
 
     def test_jsonl_export(self, tmp_path):
-        with scoped_tracer() as tracer:
+        with traced() as trace:
             with span("a"):
                 pass
+            emit_event("between")
             with span("b"):
                 pass
         path = tmp_path / "trace.jsonl"
-        tracer.write(str(path))
+        trace.write(str(path))
         records = [
             json.loads(line)
             for line in path.read_text().splitlines()
             if line
         ]
-        assert [r["name"] for r in records] == ["a", "b"]
+        assert [r["name"] for r in records] == ["a", "between", "b"]
 
     def test_span_args_coerced_to_jsonable(self):
-        with scoped_tracer() as tracer:
+        with traced() as trace:
             with span("x", machine=vending_machine()):
                 pass
-        (record,) = tracer.records
+        (record,) = trace.records
         assert isinstance(record["args"]["machine"], str)
 
 
@@ -240,17 +268,28 @@ class TestCoverageTelemetry:
     def test_snapshots_and_trace_events(self):
         machine = vending_machine()
         tour = transition_tour(machine)
-        with scoped_tracer() as tracer:
+        with scoped_bus() as bus:
+            ring = bus.add_sink(RingBufferSink())
+            trace = bus.add_sink(TraceSink())
             telemetry = replay_with_telemetry(
                 machine, tour.inputs, snapshot_every=5
             )
         assert telemetry.snapshots
         steps = [s for s, _report in telemetry.snapshots]
         assert steps == sorted(steps)
+        # One emit per snapshot: the bus carries it once, and the
+        # trace shows exactly that event as one instant.
+        emitted = [
+            e.payload for e in ring.events()
+            if e.name == "coverage.snapshot"
+        ]
+        assert [p["step"] for p in emitted] == steps
         events = [
-            r for r in tracer.records if r["name"] == "coverage.snapshot"
+            r for r in trace.records if r["name"] == "coverage.snapshot"
         ]
         assert len(events) == len(telemetry.snapshots)
+        assert all(e["ph"] == "i" for e in events)
+        assert [e["args"] for e in events] == emitted
         fractions = [e["args"]["fraction"] for e in events]
         assert fractions == sorted(fractions)  # coverage only grows
         assert telemetry.snapshot().complete  # final state is full
@@ -328,15 +367,16 @@ class TestInstrumentationOff:
         assert bare == instrumented
 
     def test_hot_paths_record_nothing_when_disabled(self):
-        # With the null registry and no tracer installed (the default),
-        # generation and campaigns leave no observable residue.
+        # With the null registry and the null bus installed (the
+        # default), generation and campaigns leave no observable
+        # residue.
         assert not get_registry().enabled
-        assert get_tracer() is None
+        assert get_bus() is NULL_BUS
         machine = vending_machine()
         tour = transition_tour(machine)
         run_campaign(machine, tour.inputs)
         assert not get_registry().enabled
-        assert get_tracer() is None
+        assert get_bus() is NULL_BUS
 
 
 # --------------------------------------------------------------------

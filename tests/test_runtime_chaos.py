@@ -572,6 +572,9 @@ class TestKillAndResume:
         journal = run_paths(run_dir).journal
         # The hang chaos slows every worker task by 50ms, giving the
         # poll below a wide window to SIGKILL the campaign mid-journal.
+        # Its own session makes the campaign a process-group leader,
+        # so the kill takes its pool workers down with it instead of
+        # leaving them orphaned.
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "campaign", "counter",
@@ -582,7 +585,15 @@ class TestKillAndResume:
             env=_repro_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
+
+        def kill_group():
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
         try:
             deadline = time.time() + 60
             while time.time() < deadline:
@@ -592,11 +603,10 @@ class TestKillAndResume:
                     break
                 time.sleep(0.01)
             killed = proc.poll() is None
-            proc.kill()
+            kill_group()
             proc.wait(timeout=30)
         finally:
-            if proc.poll() is None:  # pragma: no cover - safety net
-                proc.kill()
+            kill_group()  # the group may outlive a leader that exited
         lines = _journal_lines(journal)
         assert lines >= 8, "campaign died before journaling anything"
         if killed:

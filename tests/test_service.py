@@ -480,6 +480,45 @@ class TestHostileRecords:
         )
 
 
+class TestHostileKeys:
+    """Coordinator entry points are total over decoded JSON: a list or
+    object where a campaign, shard or lease key belongs is refused
+    like an unknown key, never raised as ``TypeError: unhashable``."""
+
+    @pytest.mark.parametrize("bad", [[1], {}, {"k": 1}, True, None])
+    def test_report_shard_bad_campaign_is_refused(self, tmp_path, bad):
+        coordinator = make_coordinator(tmp_path)
+        coordinator.submit({"target": "counter"})
+        assert coordinator.report_shard({"campaign": bad}) == {
+            "accepted": False, "reason": "unknown campaign",
+        }
+
+    @pytest.mark.parametrize("bad", [[1], {}, True])
+    def test_report_shard_bad_shard_is_refused(self, tmp_path, bad):
+        coordinator = make_coordinator(tmp_path, shard_size=512)
+        coordinator.submit({"target": "counter"})
+        lease = coordinator.lease("w")
+        reply = coordinator.report_shard({
+            "lease": lease["lease"],
+            "campaign": lease["campaign"],
+            "shard": bad,
+            "error": "RuntimeError: boom",
+        })
+        assert reply == {"accepted": False, "reason": "failure recorded"}
+        # No shard matched, so nothing was requeued: the lease lives.
+        assert coordinator.stats["worker_errors"] == 0
+        assert coordinator.heartbeat(lease["lease"])["ok"]
+
+    @pytest.mark.parametrize("bad", [[1], {}, {"L1": 1}, 1, None])
+    def test_heartbeat_bad_lease_is_refused(self, tmp_path, bad):
+        coordinator = make_coordinator(tmp_path)
+        coordinator.submit({"target": "counter"})
+        coordinator.lease("w")
+        assert coordinator.heartbeat(bad) == {
+            "ok": False, "reason": "unknown or expired lease",
+        }
+
+
 class TestQuarantineAndBisect:
     def fail_until(self, coordinator, clock, predicate, limit=500):
         """Keep leasing and expiring until ``predicate()``; the

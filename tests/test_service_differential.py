@@ -248,6 +248,35 @@ class TestServiceHttpHardening:
             assert status == 200 and body == {"ok": True}
 
 
+    def test_non_object_body_is_400(self, tmp_path):
+        """Every POST route wants a JSON object; an array, string or
+        number body is a 400, and hostile keys inside an object get
+        the coordinator's ordinary refusal."""
+        from repro.service import request_json
+
+        coordinator = Coordinator(str(tmp_path / "svc"))
+        with ServiceServer(coordinator) as server:
+            for route in ("/api/campaigns", "/api/lease",
+                          "/api/heartbeat", "/api/shard-result"):
+                for body in ([1], [], "lease", 7):
+                    status, reply = request_json(server.url + route, body)
+                    assert status == 400, (route, body)
+                    assert reply["error"] == (
+                        "request body must be a JSON object"
+                    )
+            status, reply = request_json(
+                server.url + "/api/heartbeat", {"lease": [1]}
+            )
+            assert status == 200 and reply["ok"] is False
+            status, reply = request_json(
+                server.url + "/api/shard-result", {"campaign": {}}
+            )
+            assert status == 200
+            assert reply == {
+                "accepted": False, "reason": "unknown campaign",
+            }
+
+
 class TestServiceCli:
     """`repro serve` / `repro shard-worker` / `repro submit` round
     trips as real subprocesses -- the CI smoke, pinned locally."""
